@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dyons, exactmat as xm, forms4d, monodromy
+from . import __version__, dyons, forms4d, monodromy
 from . import reduction3d, selftest, serialize, siegel, symplattice as sl, taming
 
 
@@ -346,8 +346,8 @@ def main(argv=None):
             sys.stdout.write("\n")
             return 2
         return 0
-    tol = args.tol if args.tol is not None else default_tol()
     try:
+        tol = args.tol if args.tol is not None else default_tol()
         if args.group == "dyon" and args.action == "build" and not args.v:
             raise UsageError("dyon build requires --v")
         if args.group == "dyon" and args.action == "flux" and not args.infile:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from . import reduction3d, symplattice, taming
+from . import forms4d, reduction3d, symplattice, taming
 
 
 class NonPositiveRadius(ValueError):
@@ -37,11 +37,11 @@ class NonIntegerVWarning(UserWarning):
 
 
 def solid_angle_form(x):
-    """Pullback of the unit-sphere area form: sigma_ab = eps_abc x_c / r^3."""
+    """Pullback of the unit-sphere area form: sigma_ab = eps_abc x_c / r^3,
+    the Euclidean star of the 1-form x / r^3."""
     x = np.asarray(x, dtype=float)
     r = np.linalg.norm(x, axis=-1, keepdims=True)
-    xs = x / r**3
-    return np.einsum("abc,...c->...ab", reduction3d._EPS3, xs)
+    return forms4d.hodge_star(np.eye(3), x / r**3, 1)
 
 
 @dataclass
@@ -229,9 +229,9 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, type_t=1, grid=None):
                                      + (theta / (2 * np.pi)) * dpsi[..., 0:1]) * rhat
 
     period = taming.electrodynamics_period(theta, g_sq)
-    h = grid.metric_field()
+    h = grid.metric
     E_form = np.einsum("...ab,...b->...a", h, E_vec)[..., None, :]
-    B_form = reduction3d.star_1form(h, np.einsum("...ab,...b->...a", h, B_vec))[..., None, :, :]
+    B_form = forms4d.hodge_star(h, np.einsum("...ab,...b->...a", h, B_vec), 1)[..., None, :, :]
     maxwell = reduction3d.em_static_residual(grid, period.R, period.I,
                                              E_form, B_form,
                                              Phi[..., None], Upsilon[..., None])

@@ -15,10 +15,6 @@ def zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
 
 
-def copy(A):
-    return [row[:] for row in A]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 
@@ -42,16 +38,8 @@ def scale(A, c):
     return [[c * x for x in row] for row in A]
 
 
-def add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def sub(A, B):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def neg(A):
-    return [[-x for x in row] for row in A]
 
 
 def mat_equal(A, B):

@@ -1,17 +1,23 @@
 """Pointwise exterior algebra on 4d Lorentzian vector spaces.
 
-Coordinates are ordered (t, x, y, z); the Levi-Civita symbol is normalized
-by eps_{0123} = +1 and multiplied by the orientation flag.  On two-forms the
+Every Hodge star in the package goes through one batched kernel,
+hodge_star(g, form, degree), for 3d and 4d metrics: g is one metric,
+inverted once, or one metric per point, inverted per point.  Coordinates
+are ordered (t, x, y, z); the Levi-Civita symbol is normalized by
+eps_{0123} = +1 and multiplied by the orientation flag.  On two-forms the
 Lorentzian Hodge star squares to minus the identity, so the polarized
 operator (star tensor J) squares to plus the identity and splits
 vector-valued two-forms into self-dual and anti-self-dual parts.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
 from . import taming
+from .symplattice import DimensionMismatch, NotSymplectic
 
 ALG_TOL = 1e-10
 COMPOSED_TOL = 1e-9
@@ -25,34 +31,48 @@ class RankMismatch(ValueError):
     pass
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
-class NotSymplectic(ValueError):
-    pass
-
-
-def _levi_civita4():
-    eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-
-    def parity(p):
-        p = list(p)
-        sign = 1
-        for i in range(len(p)):
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        return sign
-
-    for p in permutations(range(4)):
-        eps[p] = parity(p)
+def levi_civita(d):
+    """Levi-Civita symbol of dimension d with eps_{01...d-1} = +1."""
+    eps = np.zeros((d,) * d)
+    for perm in permutations(range(d)):
+        eps[perm] = (-1) ** sum(a > b for a, b in combinations(perm, 2))
     return eps
 
 
-_EPS4 = _levi_civita4()
+_LEVI_CIVITA = {d: levi_civita(d) for d in (3, 4)}
+
+
+def hodge_star(g, form, degree, orientation=1):
+    """Hodge star of a 1-form or 2-form in d = 3 or 4 dimensions, batched:
+
+        (*w)_{b...} = (s / p!) sqrt|det g| w^{a_1...a_p} eps_{a_1...a_p b...}.
+
+    g is one (d, d) metric, inverted once, or one metric per point of shape
+    (*batch, d, d), inverted per point.  form has shape
+    (*batch, *carried, d, ..., d) with `degree` trailing form axes; carried
+    axes (a component index, say) pass through unchanged.
+    """
+    g = np.asarray(g, dtype=float)
+    form = np.asarray(form, dtype=float)
+    d, batch = g.shape[-1], g.shape[:-2]
+    if g.shape[-2:] != (d, d) or d not in _LEVI_CIVITA:
+        raise ValueError("metric must be 3x3 or 4x4, or a field of them")
+    if (degree not in (1, 2) or form.shape[:len(batch)] != batch
+            or form.shape[len(batch):][-degree:] != (d,) * degree):
+        raise ValueError(f"form must be (*batch, *carried) + {(d,) * degree}, degree 1 or 2")
+    ginv = np.linalg.inv(g)
+    vol = orientation * np.sqrt(np.abs(np.linalg.det(g))) / factorial(degree)
+    if batch:
+        carried = (1,) * (form.ndim - len(batch) - degree)
+        ginv = ginv.reshape(batch + carried + (d, d))
+        vol = vol.reshape(batch + carried + (1,) * (d - degree))
+    if degree == 1:
+        raised = np.einsum("...bc,...c->...b", ginv, form)
+    else:
+        raised = ginv @ form @ ginv  # g^-1 is symmetric
+    out = np.tensordot(raised, _LEVI_CIVITA[d], axes=degree)
+    out *= vol
+    return out
 
 
 @dataclass
@@ -72,10 +92,6 @@ class LorentzPoint:
         if np.sum(eig < 0) != 1 or np.sum(eig > 0) != 3:
             raise WrongSignature("metric must have mostly-plus signature (3,1)")
 
-    @property
-    def inverse_metric(self):
-        return np.linalg.inv(self.metric)
-
 
 def as_two_form(coeffs):
     """Validate a vector-valued two-form: shape (k, 4, 4), antisymmetric."""
@@ -94,10 +110,7 @@ def hodge_star2(p, F):
 
         (*F)_ab = (1/2) s sqrt(|det g|) eps_abcd g^ce g^df F_ef.
     """
-    F = as_two_form(F)
-    ginv = p.inverse_metric
-    vol = p.orientation * np.sqrt(abs(np.linalg.det(p.metric)))
-    return 0.5 * vol * np.einsum("abcd,ce,df,kef->kab", _EPS4, ginv, ginv, F)
+    return hodge_star(p.metric, as_two_form(F), 2, p.orientation)
 
 
 def polarized_star(p, J, V):

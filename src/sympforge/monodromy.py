@@ -96,12 +96,12 @@ def verify_dirac_system(images, lattice_basis):
     if xm.det(L) == 0:
         raise DegenerateLattice("lattice basis is singular")
     n = m // 2
-    W = xm.to_fraction(siegel.std_omega(n))
+    W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
     Linv = xm.inverse(L)
     for T in images:
         T = xm.to_fraction(T)
         if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
-            raise siegel.NotSymplectic("image is not symplectic for the standard form")
+            raise sl.NotSymplectic("image is not symplectic for the standard form")
         C = xm.matmul(Linv, xm.matmul(T, L))
         if not xm.is_integral(C):
             return False, None
@@ -135,6 +135,8 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     "trace mismatch" is decisive, otherwise None only means not-found
     within the bound.
     """
+    if entry_bound < 0:
+        raise ValueError("entry bound must be non-negative")
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
         raise ShapeMismatch("representations are not comparable")
     # conjugation invariants give a cheap decisive prefilter

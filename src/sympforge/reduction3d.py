@@ -3,7 +3,9 @@ residual on Cartesian grids, and theta-coupled electromagnetostatics.
 
 A static product metric -dt^2 + h splits a 4d two-form into a spatial
 1-form part (the dt-wedge factor) and a spatial 2-form part; the 4d Hodge
-star then factors through the 3d star of h.  Solving is done elsewhere --
+star then factors through the 3d star of h.  Both stars are the batched
+kernel forms4d.hodge_star, given the grid metric as stored: a constant
+metric is inverted once, a per-node one per node.  Solving is done elsewhere --
 this module only evaluates residuals, with second-order central
 differences and the one-cell boundary layer excluded from aggregation.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms4d
+from .forms4d import RankMismatch
 
 EQ_TOL = 1e-10
 
@@ -23,20 +26,6 @@ class NotStaticMetric(ValueError):
 
 class GridTooSmall(ValueError):
     pass
-
-
-class RankMismatch(ValueError):
-    pass
-
-
-def _levi_civita3():
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1
-    return eps
-
-
-_EPS3 = _levi_civita3()
 
 
 @dataclass
@@ -79,23 +68,7 @@ class Grid3:
 
 
 # ---------------------------------------------------------------------------
-# pointwise 3d Hodge operators (broadcast over leading axes)
-
-def star_1form(h, E):
-    """(*E)_ab = sqrt(det h) eps_abc h^cd E_d, batched over leading axes."""
-    h = np.asarray(h, dtype=float)
-    hinv = np.linalg.inv(h)
-    vol = np.sqrt(np.linalg.det(h))
-    return np.einsum("...,abc,...cd,...d->...ab", vol, _EPS3, hinv, E)
-
-
-def star_2form(h, B):
-    """(*B)_a = (1/2) sqrt(det h) eps_abc h^bd h^ce B_de."""
-    h = np.asarray(h, dtype=float)
-    hinv = np.linalg.inv(h)
-    vol = np.sqrt(np.linalg.det(h))
-    return 0.5 * np.einsum("...,abc,...bd,...ce,...de->...a", vol, _EPS3, hinv, hinv, B)
-
+# index raising (broadcast over leading axes)
 
 def sharp(h, E):
     """Index raising of a 1-form."""
@@ -139,15 +112,14 @@ def star_decompose_check(p, omega):
 
         (*_g w)_top = *_h w_perp,   (*_g w)_perp = - *_h w_top,
 
-    compared against the direct 4d epsilon-tensor computation.
+    comparing the star kernel at d = 4 with the kernel at d = 3.
     """
     h = _check_static(p)
     omega = forms4d.as_two_form(omega)
     lhs_top, lhs_perp = decompose_form(forms4d.hodge_star2(p, omega))
     top, perp = decompose_form(omega)
-    s = p.orientation
-    rhs_top = s * star_2form(h, perp)
-    rhs_perp = -s * star_1form(h, top)
+    rhs_top = forms4d.hodge_star(h, perp, 2, p.orientation)
+    rhs_perp = -forms4d.hodge_star(h, top, 1, p.orientation)
     return float(max(np.max(np.abs(lhs_top - rhs_top)),
                      np.max(np.abs(lhs_perp - rhs_perp))))
 
@@ -196,8 +168,7 @@ def bogomolny_residual(grid, J, pair):
     two_n = pair.psi.shape[-1]
     if J.shape[-2:] != (two_n, two_n):
         raise RankMismatch("taming size does not match field rank")
-    h = grid.metric_field()[..., None, :, :]  # broadcast over the 2n axis
-    star_v = star_2form(h, pair.V)            # (*shape, 2n, 3)
+    star_v = forms4d.hodge_star(grid.metric, pair.V, 2)  # (*shape, 2n, 3)
     if J.ndim == 2:
         lhs = np.einsum("jk,...ka->...ja", J, star_v)
     else:
@@ -225,14 +196,10 @@ def lift_to_4d(pair, grid, J):
     J = np.asarray(J, dtype=float)
     dpsi = grad_nodes(grid, pair.psi)
     vhat = reassemble_form(dpsi, pair.V)      # (*shape, 2n, 4, 4)
-    h = grid.metric_field()
-    ginv = np.zeros(grid.shape + (4, 4))
-    ginv[..., 0, 0] = -1.0
-    ginv[..., 1:, 1:] = np.linalg.inv(h)
-    vol = np.sqrt(np.linalg.det(h))           # sqrt|det g| for g = -dt^2 + h
-    star_vhat = 0.5 * np.einsum("...,abcd,...ce,...df,...kef->...kab",
-                                vol, forms4d._EPS4, ginv, ginv, vhat)
-    resid = star_vhat + np.einsum("jk,...kab->...jab", J, vhat)
+    g = np.zeros(grid.metric.shape[:-2] + (4, 4))  # -dt^2 + h, once or per node
+    g[..., 0, 0] = -1.0
+    g[..., 1:, 1:] = grid.metric
+    resid = forms4d.hodge_star(g, vhat, 2) + np.einsum("jk,...kab->...jab", J, vhat)
     return {"field": vhat, "residual": _interior_max(resid), "residual_field": resid}
 
 
@@ -274,7 +241,7 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
 
     h = grid.metric_field()[..., None, :, :]
     Evec = sharp(h, E)
-    Bvec = sharp(h, star_2form(h, B))
+    Bvec = sharp(h, forms4d.hodge_star(grid.metric, B, 2))
     grad_phi_vec = sharp(h, grad_nodes(grid, Phi))
     grad_ups_vec = sharp(h, grad_nodes(grid, Upsilon))
 

@@ -9,32 +9,19 @@ tested with equality rather than tolerances.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 from . import exactmat as xm
 from . import symplattice as sl
-
-
-class DimensionMismatch(ValueError):
-    pass
+from .symplattice import DimensionMismatch, NotSymplectic
 
 
 class TypeContextMismatch(ValueError):
     pass
 
 
-class NotSymplectic(ValueError):
-    pass
-
-
 class NotFound(Exception):
     """No type within the search bound makes the matrix integral."""
-
-
-def std_omega(n):
-    """Standard principal symplectic Gram matrix [[0, I], [-I, 0]]."""
-    return sl.standard_gram(sl.delta(n))
 
 
 def is_member(S, t):
@@ -104,9 +91,8 @@ def element_min_type(T, search_factor=1):
     if not xm.is_square(T) or m % 2:
         raise DimensionMismatch("matrix must be square of even dimension")
     n = m // 2
-    W = std_omega(n)
-    if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(xm.to_fraction(W), T)),
-                        xm.to_fraction(W)):
+    W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
+    if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
         raise NotSymplectic("matrix is not symplectic for the standard form")
 
     L = lcm(*(x.denominator for row in T for x in row))
@@ -228,11 +214,7 @@ def generators(t):
             gens.append(_embed_upper(B, t))
     # the symplectic reflection e_i -> -f_i-ish block rotation, principal only
     if all(x == t[0] for x in t):
-        J = xm.zeros(2 * n, 2 * n)
-        for i in range(n):
-            J[i][n + i] = 1
-            J[n + i][i] = -1
-        gens.append(SiegelElement.make(J, t))
+        gens.append(SiegelElement.make(sl.standard_gram(sl.delta(n)), t))
     return gens
 
 

@@ -32,6 +32,14 @@ class NotComparable(ValueError):
     pass
 
 
+class DimensionMismatch(ValueError):
+    pass
+
+
+class NotSymplectic(ValueError):
+    pass
+
+
 def validate_type(t):
     """Check the divisibility-chain condition on a type vector."""
     t = tuple(int(x) for x in t)
@@ -75,6 +83,8 @@ def gamma_matrix(t):
 def check_gram(omega):
     """Validate an integer antisymmetric Gram matrix; returns half-dimension."""
     m = len(omega)
+    if m == 0:
+        raise ValueError("Gram matrix must be non-empty")
     if not xm.is_square(omega):
         raise ValueError("Gram matrix must be square")
     if m % 2 != 0:

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symplattice as sl
+from .symplattice import NotSymplectic
+
 ALG_TOL = 1e-10    # single algebraic identities on well-conditioned input
 ROUNDTRIP_TOL = 1e-9
 
@@ -25,18 +28,6 @@ class SingularBlock(ValueError):
 
 class NotATaming(ValueError):
     pass
-
-
-class NotSymplectic(ValueError):
-    pass
-
-
-def std_omega(n):
-    """Standard symplectic Gram matrix as a float array."""
-    W = np.zeros((2 * n, 2 * n))
-    W[:n, n:] = np.eye(n)
-    W[n:, :n] = -np.eye(n)
-    return W
 
 
 @dataclass
@@ -78,7 +69,7 @@ def is_taming(J, gram=None, tol=ALG_TOL):
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
         raise ValueError("J must be square of even dimension")
     n = J.shape[0] // 2
-    W = std_omega(n) if gram is None else np.asarray(gram, dtype=float)
+    W = np.asarray(sl.standard_gram(sl.delta(n)) if gram is None else gram, dtype=float)
     report = {}
     report["square_residual"] = float(np.max(np.abs(J @ J + np.eye(2 * n))))
     report["compat_residual"] = float(np.max(np.abs(J.T @ W @ J - W)))
@@ -129,7 +120,7 @@ def theta_inverse(J, tol=ALG_TOL):
 def is_symplectic(g, tol=ALG_TOL, gram=None):
     g = np.asarray(g, dtype=float)
     n = g.shape[0] // 2
-    W = std_omega(n) if gram is None else np.asarray(gram, dtype=float)
+    W = np.asarray(sl.standard_gram(sl.delta(n)) if gram is None else gram, dtype=float)
     return np.max(np.abs(g.T @ W @ g - W)) < tol
 
 
@@ -178,7 +169,7 @@ def random_symplectic(n, rng, scale=0.4):
     element), kept well-conditioned for tolerance-based tests."""
     from scipy.linalg import expm
 
-    W = std_omega(n)
+    W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
     S = rng.standard_normal((2 * n, 2 * n))
     S = 0.5 * (S + S.T) * scale
     return expm(W @ S)

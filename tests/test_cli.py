@@ -236,3 +236,21 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, ["lattice", "type", "--in", path])
     assert code == 0
     assert report["manifest"]["tolerances"]["tol"] == 1e-7
+
+
+@pytest.mark.parametrize("case", ["tol_env_not_a_number", "negative_bound", "empty_gram"])
+def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
+    if case == "tol_env_not_a_number":
+        monkeypatch.setenv("SYMPFORGE_TOL", "abc")
+        argv = ["lattice", "type", "--in", write(tmp_path, "gram.json", [[0, 3], [-3, 0]])]
+    elif case == "negative_bound":
+        reps = {"rep1": [[[1, 1], [0, 1]]], "rep2": [[[1, 1], [0, 1]]], "type": [1]}
+        argv = ["monodromy", "conjugacy", "--in", write(tmp_path, "conj.json", reps),
+                "--bound", "-1"]
+    else:
+        argv = ["lattice", "type", "--in", write(tmp_path, "empty.json", [])]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["status"] == "invalid_input"
+    assert "Traceback" not in captured.err

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,64 @@ def test_local_and_global_conditions_agree():
     assert ok
     scale = max(1.0, np.max(np.abs(V)))
     assert report["global_residual"] < 1e-8 * scale
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against explicit epsilon-tensor formulas
+
+def _parity(p):
+    p, sign = list(p), 1
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], p[i]
+            sign = -sign
+    return sign
+
+
+EPS4 = np.zeros((4, 4, 4, 4))
+for _p in permutations(range(4)):
+    EPS4[_p] = _parity(_p)
+EPS3 = np.zeros((3, 3, 3))
+EPS3[0, 1, 2] = EPS3[1, 2, 0] = EPS3[2, 0, 1] = 1
+EPS3[0, 2, 1] = EPS3[2, 1, 0] = EPS3[1, 0, 2] = -1
+
+
+def oracle_star(h, w, degree):
+    """Explicit contractions: (*E)_ab = vol eps_abc h^cd E_d, (*B)_a =
+    (1/2) vol eps_abc h^bd h^ce B_de, (*F)_ab = (1/2) vol eps_abcd g^ce g^df
+    F_ef, with h one metric or one per point broadcast over a component axis."""
+    hinv = np.linalg.inv(h)
+    vol = np.sqrt(abs(np.linalg.det(h)))
+    if h.shape[-1] == 4:
+        return 0.5 * np.einsum("...,abcd,...ce,...df,...kef->...kab", vol, EPS4, hinv, hinv, w)
+    hinv, vol = hinv[..., None, :, :], vol[..., None]
+    if degree == 1:
+        return np.einsum("...,abc,...cd,...d->...ab", vol, EPS3, hinv, w)
+    return 0.5 * np.einsum("...,abc,...bd,...ce,...de->...a", vol, EPS3, hinv, hinv, w)
+
+
+def random_metrics(rng, d, count):
+    if d == 4:
+        return np.stack([forms4d.random_metric(rng).metric for _ in range(count)])
+    A = rng.standard_normal((count, 3, 3)) * 0.5
+    return np.eye(3) + A @ np.swapaxes(A, -1, -2)
+
+
+@pytest.mark.parametrize("d,degree", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_hodge_star_kernel_matches_epsilon_formulas(d, degree, orientation, per_point):
+    rng = np.random.default_rng(10 * d + degree)
+    points, k = 6, 3
+    g = random_metrics(rng, d, points)
+    w = rng.standard_normal((points, k) + (d,) * degree)
+    if degree == 2:
+        w = w - np.swapaxes(w, -1, -2)
+    if not per_point:
+        g = g[0]
+    expect = orientation * oracle_star(g if per_point else np.broadcast_to(g, (points, d, d)),
+                                       w, degree)
+    out = forms4d.hodge_star(g, w, degree, orientation)
+    assert out.shape == expect.shape
+    assert np.max(np.abs(out - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))

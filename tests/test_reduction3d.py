@@ -184,3 +184,23 @@ def test_convergence_order_of_dyon_residuals():
         res.append(rep["eq_residual"])
     order = np.log2(res[0] / res[1])
     assert order > 1.8
+
+
+def test_constant_metric_matches_same_metric_per_node():
+    rng = np.random.default_rng(11)
+    h = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.1], [-0.2, 0.1, 0.5]])
+    shape = (5, 6, 4)
+    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    psi = rng.standard_normal(shape + (4,))
+    A = rng.standard_normal(shape + (4, 3, 3))
+    pair = (psi, A - np.swapaxes(A, -1, -2))
+    grids = [reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.15), metric=m)
+             for m in (h, np.broadcast_to(h, shape + (3, 3)).copy())]
+    bog = [reduction3d.bogomolny_residual(grid, J, pair) for grid in grids]
+    lift = [reduction3d.lift_to_4d(pair, grid, J) for grid in grids]
+    for const, per_node in ((bog[0]["eq_field"], bog[1]["eq_field"]),
+                            (bog[0]["closure_field"], bog[1]["closure_field"]),
+                            (lift[0]["residual_field"], lift[1]["residual_field"])):
+        assert np.max(np.abs(const - per_node)) < 1e-12 * max(1.0, np.max(np.abs(const)))
+    assert abs(bog[0]["eq_residual"] - bog[1]["eq_residual"]) < 1e-12 * max(1.0, bog[0]["eq_residual"])
+    assert abs(lift[0]["residual"] - lift[1]["residual"]) < 1e-12 * max(1.0, lift[0]["residual"])
