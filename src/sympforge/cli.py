@@ -3,7 +3,8 @@
 Every subcommand reads JSON, writes a single JSON report with a "status"
 field to stdout, and exits 0 (success / verified true), 1 (verified
 false), or 2 (invalid input).  Reports embed a reproducibility manifest:
-argv, SHA-256 digests of input files, tolerances in effect, seed, version.
+argv, SHA-256 digests of the inputs (stdin under "-"), tolerances in effect,
+seed, version.
 """
 
 import argparse
@@ -22,20 +23,34 @@ class UsageError(Exception):
     pass
 
 
+# every exception that means "invalid input": exit 2, status invalid_input
+# (json.JSONDecodeError and the library's input errors are ValueErrors)
+INVALID_INPUT = (UsageError, ValueError, KeyError)
+
+
 def default_tol():
     return float(os.environ.get("SYMPFORGE_TOL", "1e-9"))
 
 
-def _read_json(path):
+def _read_json(path, kind=None):
+    """Parse a JSON input file, or stdin for "-"; returns (data, {path: sha256}).
+
+    kind, if given (dict or list), is the required type of the top-level value.
+    """
     if path == "-":
-        return json.load(sys.stdin), None
-    try:
-        with open(path) as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    digest = hashlib.sha256(data.encode()).hexdigest()
-    return json.loads(data), {path: digest}
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
+    data = json.loads(text)
+    if kind is not None and not isinstance(data, kind):
+        want = "an object" if kind is dict else "an array"
+        raise UsageError(f"{path}: top-level JSON value must be {want}, "
+                         f"not {type(data).__name__}")
+    return data, {path: hashlib.sha256(text.encode()).hexdigest()}
 
 
 def _manifest(args, inputs, tol, seed=None):
@@ -66,7 +81,7 @@ def _parse_vector(text):
 # subcommand handlers
 
 def cmd_lattice(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, list)
     G = serialize.int_matrix_from_json(data)
     res = sl.symplectic_normal_form(G)
     report = {"status": "ok", "type": list(res.type),
@@ -77,7 +92,7 @@ def cmd_lattice(args, tol):
 
 
 def cmd_group(args, tol):
-    data, inputs = _read_json(args.matrix)
+    data, inputs = _read_json(args.matrix, list)
     t = _parse_type(args.type) if args.type else None
     if args.action == "check":
         if t is None:
@@ -98,7 +113,7 @@ def cmd_group(args, tol):
 
 
 def cmd_aff(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, dict)
     g = siegel.aff_compose(serialize.aff_from_json(data["g1"]),
                            serialize.aff_from_json(data["g2"]))
     report = {"status": "ok", "result": serialize.aff_to_json(g),
@@ -107,7 +122,7 @@ def cmd_aff(args, tol):
 
 
 def cmd_taming(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, list if args.action == "check" else None)
     if args.action == "check":
         ok, rep = taming.is_taming(np.asarray(data, dtype=float), tol=max(tol, 1e-10))
         return _emit({"status": "ok", "taming": ok, "report": rep,
@@ -124,7 +139,7 @@ def cmd_taming(args, tol):
 
 
 def cmd_selfdual(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, dict)
     p = forms4d.LorentzPoint(np.asarray(data["metric"], dtype=float),
                              int(data.get("orientation", 1)))
     N = serialize.period_from_json(data["N"])
@@ -138,7 +153,7 @@ def cmd_selfdual(args, tol):
 
 
 def cmd_reduce(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, dict)
     p = forms4d.LorentzPoint(np.asarray(data["metric"], dtype=float),
                              int(data.get("orientation", 1)))
     omega = serialize.two_form_from_json(data["omega"])
@@ -149,8 +164,9 @@ def cmd_reduce(args, tol):
 
 
 def cmd_bogomolny(args, tol):
-    data, inputs = _read_json(args.infile)
-    grid, fields = serialize.grid_field_from_json(data)
+    data, inputs = _read_json(args.infile, dict)
+    # payload names are relative to the header's directory (cwd for stdin)
+    grid, fields = serialize.grid_field_from_json(data, os.path.dirname(args.infile) or ".")
     if "psi" not in fields or "V" not in fields:
         raise UsageError("grid payload must provide fields 'psi' and 'V'")
     J = np.asarray(data["J"], dtype=float)
@@ -169,7 +185,7 @@ def _taming_from_spec(spec, n):
     if spec.startswith("edyn:"):
         theta, gsq = (float(x) for x in spec[5:].split(","))
         return taming.electrodynamics_taming(theta, gsq)
-    data, _ = _read_json(spec)
+    data, _ = _read_json(spec, list)
     return np.asarray(data, dtype=float)
 
 
@@ -181,7 +197,7 @@ def cmd_dyon(args, tol):
         J = _taming_from_spec(args.J, len(v) // 2)
         inputs = None
     else:
-        data, inputs = _read_json(args.infile)
+        data, inputs = _read_json(args.infile, dict)
         v = data["v"]
         vprime = data.get("vprime", [0.0] * len(v))
         t = tuple(data["type"]) if "type" in data else None
@@ -220,7 +236,7 @@ def cmd_edyn(args, tol):
 
 
 def cmd_monodromy(args, tol):
-    data, inputs = _read_json(args.infile)
+    data, inputs = _read_json(args.infile, dict)
     manifest = _manifest(args, inputs, tol)
     if args.action == "validate":
         pres = monodromy.Presentation.make(data["presentation"]["generators"],
@@ -353,12 +369,7 @@ def main(argv=None):
         if args.group == "dyon" and args.action == "flux" and not args.infile:
             raise UsageError("dyon flux requires --in")
         return args.func(args, tol)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        json.dump({"status": "invalid_input", "error": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         json.dump({"status": "invalid_input", "error": str(exc)}, sys.stdout)
         sys.stdout.write("\n")

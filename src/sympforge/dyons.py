@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import forms4d, reduction3d, symplattice, taming
 
@@ -76,6 +75,10 @@ class DyonSolution:
             raise NonPositiveRadius("radius must be positive")
         if not callable(self.J):
             return self.J_at(r) @ self.v / (2.0 * r) + self.v_prime
+        # imported here: loading scipy.integrate costs more than the rest of
+        # the package, and only a radial taming needs it
+        from scipy.integrate import quad
+
         # psi(r) = v' - int_1^r J(s) v / (2 s^2) ds, fixing psi(1) = v'
         out = np.array([quad(lambda s, i=i: (self.J(s) @ self.v)[i] / (2 * s**2),
                              1.0, r, epsrel=1e-10, epsabs=1e-13)[0]

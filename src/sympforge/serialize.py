@@ -32,8 +32,10 @@ def fraction_to_json(x):
 def fraction_from_json(data):
     if isinstance(data, (int, str)):
         return Fraction(int(data))
-    num, den = data
-    return Fraction(int(num), int(den))
+    num, den = (int(x) for x in data)
+    if den == 0:
+        raise ValueError(f"rational {data!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def rational_matrix_from_json(data):
@@ -114,7 +116,19 @@ def grid_field_to_json(grid, fields, path=None, binary=False):
     return header
 
 
+def _payload_path(base_dir, name):
+    """Resolve a binary payload name, which must stay inside base_dir."""
+    base = os.path.realpath(base_dir)
+    path = os.path.realpath(os.path.join(base, name))
+    if os.path.isabs(name) or os.path.commonpath([base, path]) != base:
+        raise ValueError(f"payload file {name!r} must lie inside the header's directory")
+    return path
+
+
 def grid_field_from_json(header, base_dir="."):
+    """Read a grid and its fields; binary payload names are relative to
+    base_dir (the header's directory when header is a path) and may not
+    leave it."""
     if isinstance(header, str):
         base_dir = os.path.dirname(header) or "."
         with open(header) as fh:
@@ -123,12 +137,18 @@ def grid_field_from_json(header, base_dir="."):
                              spacing=tuple(header["spacing"]),
                              origin=tuple(header.get("origin", (0, 0, 0))),
                              metric=np.asarray(header.get("metric", np.eye(3))))
+    specs = header["fields"]
+    paths = {name: _payload_path(base_dir, spec["file"])
+             for name, spec in specs.items() if "file" in spec}
     fields = {}
-    for name, spec in header["fields"].items():
+    for name, spec in specs.items():
         shape = tuple(spec["shape"])
-        if "file" in spec:
-            arr = np.fromfile(os.path.join(base_dir, spec["file"]),
-                              dtype="<f8").reshape(shape)
+        if name in paths:
+            try:
+                arr = np.fromfile(paths[name], dtype="<f8").reshape(shape)
+            except OSError as exc:
+                raise ValueError(f"cannot read payload file {spec['file']!r}: "
+                                 f"{exc.strerror}") from None
         else:
             arr = np.asarray(spec["data"], dtype=float).reshape(shape)
         fields[name] = arr

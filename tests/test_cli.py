@@ -1,8 +1,14 @@
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sympforge
 from sympforge import cli, dyons, forms4d, reduction3d, serialize, taming
 
 
@@ -214,7 +220,6 @@ def test_selftest_unknown_module(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([[0, 2], [-2, 0]])))
     code, report = run(capsys, ["lattice", "type", "--in", "-"])
     assert code == 0
@@ -238,7 +243,22 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     assert report["manifest"]["tolerances"]["tol"] == 1e-7
 
 
-@pytest.mark.parametrize("case", ["tol_env_not_a_number", "negative_bound", "empty_gram"])
+def binary_grid_header(tmp_path, psi_file):
+    """Header of a 3^3 grid whose V payload exists and whose psi payload is
+    named psi_file; the header itself goes in tmp_path/sub."""
+    (tmp_path / "sub").mkdir()
+    np.zeros((3, 3, 3, 2, 3, 3)).tofile(tmp_path / "sub" / "V.f64")
+    np.zeros((3, 3, 3, 2)).tofile(tmp_path / "psi.f64")
+    return {"shape": [3, 3, 3], "spacing": [0.1] * 3, "origin": [1.0] * 3,
+            "J": [[0.0, 1.0], [-1.0, 0.0]],
+            "fields": {"psi": {"file": psi_file, "shape": [3, 3, 3, 2]},
+                       "V": {"file": "V.f64", "shape": [3, 3, 3, 2, 3, 3]}}}
+
+
+@pytest.mark.parametrize("case", ["tol_env_not_a_number", "negative_bound", "empty_gram",
+                                  "list_input", "zero_denominator_min_type",
+                                  "zero_denominator_aff", "missing_payload",
+                                  "payload_outside_header_dir", "absolute_payload"])
 def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
     if case == "tol_env_not_a_number":
         monkeypatch.setenv("SYMPFORGE_TOL", "abc")
@@ -247,10 +267,75 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
         reps = {"rep1": [[[1, 1], [0, 1]]], "rep2": [[[1, 1], [0, 1]]], "type": [1]}
         argv = ["monodromy", "conjugacy", "--in", write(tmp_path, "conj.json", reps),
                 "--bound", "-1"]
-    else:
+    elif case == "empty_gram":
         argv = ["lattice", "type", "--in", write(tmp_path, "empty.json", [])]
+    elif case == "list_input":
+        argv = ["selfdual", "check", "--in", write(tmp_path, "list.json", [1, 2, 3])]
+    elif case == "zero_denominator_min_type":
+        argv = ["group", "min-type", "--matrix",
+                write(tmp_path, "t.json", [[1, ["1", "0"]], [0, 1]])]
+    elif case == "zero_denominator_aff":
+        g = {"a": [["1", "0"], ["0", "1"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}
+        argv = ["aff", "compose", "--in", write(tmp_path, "aff.json", {"g1": g, "g2": g})]
+    else:
+        psi_file = {"missing_payload": "absent.f64",
+                    "payload_outside_header_dir": "../psi.f64",
+                    "absolute_payload": str(tmp_path / "psi.f64")}[case]
+        header = binary_grid_header(tmp_path, psi_file)
+        argv = ["bogomolny", "residual", "--in", write(tmp_path, "sub/grid.json", header)]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out)["status"] == "invalid_input"
     assert "Traceback" not in captured.err
+
+
+def test_stdin_digest_matches_file_digest(tmp_path, capsys, monkeypatch):
+    text = json.dumps([[0, 2], [-2, 0]])
+    path = tmp_path / "gram.json"
+    path.write_text(text)
+    code, from_file = run(capsys, ["lattice", "type", "--in", str(path)])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, from_stdin = run(capsys, ["lattice", "type", "--in", "-"])
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert from_file["manifest"]["inputs"] == {str(path): digest}
+    assert from_stdin["manifest"]["inputs"] == {"-": digest}
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's sympforge."""
+    src = os.path.dirname(os.path.dirname(sympforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, sympforge.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+SELFDUAL_UNDER_O = """
+import numpy as np
+from sympforge import forms4d, taming
+p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
+N = taming.PeriodMatrix([[0.0]], [[1.0]])
+F = forms4d.random_two_form(np.random.default_rng(0), 1)
+V = np.concatenate([F, forms4d.g_map(p, N, F)])
+print(__debug__, forms4d.check_polarized_selfdual(p, N, V)[0])
+forms4d.g_map = lambda p, N, F: 0 * F   # breaks the lower-half post-condition
+try:
+    forms4d.check_polarized_selfdual(p, N, V)
+except RuntimeError:
+    print("raised")
+"""
+
+
+def test_selfdual_postcondition_checked_under_optimize():
+    proc = run_python("-O", "-c", SELFDUAL_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "raised"]

@@ -81,6 +81,18 @@ def test_radial_taming_profile_matches_constant_case():
                            shift, atol=1e-9)
 
 
+def test_radial_taming_profile_matches_closed_form_integral():
+    # N(r) = i r gives J(r) = [[0, 1/r], [-r, 0]], so
+    # psi(r) = v' - int_1^r J(s) v / (2 s^2) ds
+    #        = v' - (v_2 (1 - 1/r^2) / 4, -v_1 ln(r) / 2)
+    J = lambda r: taming.theta_forward(taming.PeriodMatrix([[0.0]], [[r]]))
+    v, vprime = np.array([1.0, 2.0]), np.array([0.5, -0.25])
+    sol = dyons.dyon_construct(J, v, vprime)
+    for r in [0.5, 2.0, 7.0]:
+        want = vprime - np.array([v[1] * (1 - 1 / r**2) / 4, -v[0] * np.log(r) / 2])
+        assert np.allclose(sol.psi(r), want, rtol=0, atol=1e-9)
+
+
 def test_flux_unit_magnetic_charge():
     sol = dyons.dyon_construct(STD_J, [0, 1], [0, 0])
     rep = dyons.flux_quantization(sol)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from sympforge import reduction3d, serialize, siegel, taming
 
@@ -67,3 +68,23 @@ def test_grid_field_roundtrip_binary(tmp_path):
     grid2, fields = serialize.grid_field_from_json(path)
     assert np.array_equal(fields["psi"], psi)
     assert grid2.shape == grid.shape
+
+
+def test_fraction_zero_denominator_rejected():
+    with pytest.raises(ValueError):
+        serialize.fraction_from_json(["1", "0"])
+
+
+def test_grid_payload_outside_header_dir_rejected_before_any_read(tmp_path, monkeypatch):
+    grid = reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.1, 0.1, 0.1))
+    psi = np.zeros(grid.shape + (2,))
+    path = str(tmp_path / "field.json")
+    header = serialize.grid_field_to_json(grid, {"psi": psi, "V": psi}, path=path, binary=True)
+    header["fields"]["V"]["file"] = "../field.json.V.f64"
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("payload read before the header was validated")
+
+    monkeypatch.setattr(serialize.np, "fromfile", no_read)
+    with pytest.raises(ValueError, match="inside the header's directory"):
+        serialize.grid_field_from_json(header, str(tmp_path))
