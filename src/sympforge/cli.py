@@ -180,13 +180,14 @@ def cmd_bogomolny(args, tol):
 
 
 def _taming_from_spec(spec, n):
+    """The taming J named by --J, and the digests of the files it read."""
     if spec == "std":
-        return taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), np.eye(n)))
+        return taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), np.eye(n))), None
     if spec.startswith("edyn:"):
         theta, gsq = (float(x) for x in spec[5:].split(","))
-        return taming.electrodynamics_taming(theta, gsq)
-    data, _ = _read_json(spec, list)
-    return np.asarray(data, dtype=float)
+        return taming.electrodynamics_taming(theta, gsq), None
+    data, inputs = _read_json(spec, list)
+    return np.asarray(data, dtype=float), inputs
 
 
 def cmd_dyon(args, tol):
@@ -194,8 +195,7 @@ def cmd_dyon(args, tol):
         v = _parse_vector(args.v)
         vprime = _parse_vector(args.vprime) if args.vprime else [0.0] * len(v)
         t = _parse_type(args.type) if args.type else None
-        J = _taming_from_spec(args.J, len(v) // 2)
-        inputs = None
+        J, inputs = _taming_from_spec(args.J, len(v) // 2)
     else:
         data, inputs = _read_json(args.infile, dict)
         v = data["v"]

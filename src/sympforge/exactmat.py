@@ -1,10 +1,12 @@
 """Small exact-arithmetic matrix kit (Python ints and fractions.Fraction).
 
 Matrices are plain lists of row lists.  Everything here is exact: no
-floating point enters, so equality checks are meaningful.
+floating point enters, so equality checks are meaningful.  det is
+fraction-free (Bareiss); only inverse eliminates over the rationals.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def identity(m):
@@ -20,12 +22,10 @@ def transpose(A):
 
 
 def matmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if len(A[0]) != inner:
+    if len(A[0]) != len(B):
         raise ValueError("matmul shape mismatch")
-    Bt = transpose(B)
-    return [[sum(A[i][k] * Bt[j][k] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def matvec(A, v):
@@ -69,7 +69,7 @@ def to_int(A):
     for row in A:
         new = []
         for x in row:
-            f = Fraction(x)
+            f = x if type(x) is int else Fraction(x)
             if f.denominator != 1:
                 raise ValueError("matrix is not integral")
             new.append(int(f))
@@ -82,26 +82,29 @@ def to_fraction(A):
 
 
 def det(A):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant (a Fraction) by Bareiss fraction-free elimination.
+
+    Entries are ints or Fractions; the matrix is scaled to integers by the
+    common denominator L, so every division is exact and det A = det(L A) / L^n.
+    """
     n = len(A)
-    M = to_fraction(A)
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+    L = lcm(*(x.denominator for row in A for x in row))
+    M = [[x.numerator * (L // x.denominator) for x in row] for row in A]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
-        p = M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] / p
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= M[i][i]
-    return result
+        p, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - c * top[j]) // prev
+        prev = p
+    return Fraction(sign * prev, L ** n)
 
 
 def inverse(A):

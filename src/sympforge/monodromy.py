@@ -114,26 +114,14 @@ def verify_dirac_system(images, lattice_basis):
     return True, sl.space_type(xm.to_int(G))
 
 
-def _candidate_members(dim, t, entry_bound, budget):
-    count = 0
-    vals = range(-entry_bound, entry_bound + 1)
-    for entries in product(vals, repeat=dim * dim):
-        count += 1
-        if count > budget:
-            raise BoundTooLargeForBudget(
-                f"candidate count exceeds budget {budget}; lower the bound")
-        M = [list(entries[i * dim:(i + 1) * dim]) for i in range(dim)]
-        if siegel.is_member(M, t):
-            yield M
-
-
 def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     """Exhaustive conjugator search over members with bounded entries.
 
     Returns (gamma, certificate).  gamma is the first conjugator found in
     lexicographic candidate order, or None; a None with certificate
     "trace mismatch" is decisive, otherwise None only means not-found
-    within the bound.
+    within the bound.  If the whole candidate set, (2 * entry_bound + 1)^(dim^2)
+    matrices, exceeds the budget, BoundTooLargeForBudget is raised up front.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
@@ -145,11 +133,16 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
            sum(b.matrix[i][i] for i in range(len(b.matrix))):
             return None, "trace mismatch"
     dim = len(rep1.images[0].matrix)
-    targets = [b.rows() for b in rep2.images]
-    for gamma in _candidate_members(dim, rep1.type_ctx, entry_bound, budget):
-        ginv = xm.inverse(gamma)
-        if all(xm.mat_equal(xm.to_fraction(xm.matmul(gamma, xm.matmul(a.rows(), ginv))),
-                            xm.to_fraction(tgt))
-               for a, tgt in zip(rep1.images, targets)):
+    count = (2 * entry_bound + 1) ** (dim * dim)
+    if count > budget:
+        raise BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
+                                     "lower the bound")
+    pairs = [(a.rows(), b.rows()) for a, b in zip(rep1.images, rep2.images)]
+    vals = range(-entry_bound, entry_bound + 1)
+    for entries in product(vals, repeat=dim * dim):
+        gamma = [list(entries[i * dim:(i + 1) * dim]) for i in range(dim)]
+        # gamma a gamma^-1 = b  <=>  gamma a = b gamma, as members are invertible
+        if siegel.is_member(gamma, rep1.type_ctx) and \
+           all(xm.matmul(gamma, a) == xm.matmul(b, gamma) for a, b in pairs):
             return gamma, "found"
     return None, "not found within bound"

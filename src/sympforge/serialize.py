@@ -20,8 +20,20 @@ def int_matrix_to_json(A):
     return [[str(int(x)) for x in row] for row in A]
 
 
+def _int_from_json(x):
+    if type(x) not in (int, str):
+        raise ValueError(f"expected an integer or a decimal string, not {x!r}")
+    return int(x)
+
+
+def _matrix_from_json(data, entry):
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("a matrix must be an array of arrays")
+    return [[entry(x) for x in row] for row in data]
+
+
 def int_matrix_from_json(data):
-    return [[int(x) for x in row] for row in data]
+    return _matrix_from_json(data, _int_from_json)
 
 
 def fraction_to_json(x):
@@ -30,16 +42,16 @@ def fraction_to_json(x):
 
 
 def fraction_from_json(data):
-    if isinstance(data, (int, str)):
-        return Fraction(int(data))
-    num, den = (int(x) for x in data)
+    if not isinstance(data, list):
+        return Fraction(_int_from_json(data))
+    num, den = (_int_from_json(x) for x in data)
     if den == 0:
         raise ValueError(f"rational {data!r} has a zero denominator")
     return Fraction(num, den)
 
 
 def rational_matrix_from_json(data):
-    return [[fraction_from_json(x) for x in row] for row in data]
+    return _matrix_from_json(data, fraction_from_json)
 
 
 def rational_matrix_to_json(A):
@@ -69,6 +81,8 @@ def period_to_json(N):
 
 def period_from_json(data):
     from . import taming
+    if not isinstance(data, dict):
+        raise ValueError(f"a period matrix is an object with keys R and I, not {data!r}")
     return taming.PeriodMatrix(np.asarray(data["R"], dtype=float),
                                np.asarray(data["I"], dtype=float))
 

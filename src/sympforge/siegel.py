@@ -30,14 +30,33 @@ def is_member(S, t):
     True iff S is an integer matrix with S^T Omega_t S = Omega_t exactly.
     """
     t = sl.validate_type(t)
-    m = len(S)
-    if not xm.is_square(S) or m != 2 * len(t):
+    if not xm.is_square(S) or len(S) != 2 * len(t):
         raise DimensionMismatch(f"expected a {2*len(t)}x{2*len(t)} matrix")
-    if not xm.is_integral(S):
-        return False
-    S = xm.to_int(S)
-    G = sl.standard_gram(t)
-    return xm.mat_equal(xm.matmul(xm.transpose(S), xm.matmul(G, S)), G)
+    return xm.is_integral(S) and _preserves_form(xm.to_int(S), t)
+
+
+def _preserves_form(S, t):
+    """S^T Omega_t S == Omega_t for an exact square S of size 2n = 2 len(t).
+
+    Both sides are antisymmetric, so only the entries i < j are compared, as
+    (S^T Omega_t S)_ij = sum_k t_k (S_ki S_{n+k,j} - S_{n+k,i} S_kj).
+    """
+    n = len(t)
+    cols = [(c[:n], c[n:]) for c in zip(*S)]
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            w = sum(tk * (a * d - c * b) for tk, a, c, b, d in zip(t, *cols[i], *cols[j]))
+            if w != (t[i] if j == i + n else 0):
+                return False
+    return True
+
+
+def _diag_conjugate(S, c):
+    """diag(c)^-1 S diag(c), entry (S_ij c_j) / c_i, for S of ints or Fractions and
+    c of positive ints; None unless every entry is an integer."""
+    out = [[divmod(x.numerator * cj, x.denominator * ci) for x, cj in zip(row, c)]
+           for ci, row in zip(c, S)]
+    return None if any(r for row in out for _, r in row) else [[q for q, _ in row] for row in out]
 
 
 @dataclass(frozen=True)
@@ -56,7 +75,13 @@ class SiegelElement:
         return [list(r) for r in self.matrix]
 
     def inverse(self):
-        inv = xm.to_int(xm.inverse(self.rows()))
+        """S^-1 = Omega_t^-1 S^T Omega_t in closed form, with Omega_t = J diag(t + t)."""
+        S, m, n = self.matrix, len(self.matrix), len(self.type_ctx)
+        adj = [[S[(j + n) % m][(i + n) % m] * (1 if (i < n) == (j < n) else -1)
+                for j in range(m)] for i in range(m)]
+        inv = _diag_conjugate(adj, self.type_ctx * 2)
+        if inv is None:
+            raise NotSymplectic("matrix does not preserve the type-t Gram matrix")
         return SiegelElement.make(inv, self.type_ctx)
 
     def __matmul__(self, other):
@@ -91,44 +116,34 @@ def element_min_type(T, search_factor=1):
     if not xm.is_square(T) or m % 2:
         raise DimensionMismatch("matrix must be square of even dimension")
     n = m // 2
-    W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
-    if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
+    if not _preserves_form(T, sl.delta(n)):
         raise NotSymplectic("matrix is not symplectic for the standard form")
 
     L = lcm(*(x.denominator for row in T for x in row))
     cap = max(1, L) ** n * max(1, search_factor)
-    candidates = []
-    for t in _divisor_chains(n, cap):
-        G = xm.to_fraction(sl.gamma_matrix(t))
-        S = xm.matmul(xm.inverse(G), xm.matmul(T, G))
-        if xm.is_integral(S):
-            candidates.append(t)
+    candidates = [t for t in _divisor_chains(n, cap)
+                  if _diag_conjugate(T, (1,) * n + t) is not None]
     if not candidates:
         raise NotFound(f"no admissible type with entries dividing {cap}")
     meet = candidates[0]
     for t in candidates[1:]:
         meet, _ = sl.type_meet_join(meet, t)
     if meet not in candidates:
-        # should not happen (admissible types are meet-closed); be safe
-        candidates.sort()
-        meet = min((t for t in candidates
-                    if not any(t2 != t and sl.type_leq(t2, t) for t2 in candidates)))
+        raise RuntimeError(f"the meet {meet} of the admissible types is not admissible")
     return meet
 
 
 def transport(S, t, t2):
     """Move a type-t member to the type-t2 picture; None if non-integral.
 
-    The transport conjugates by Gamma_t then Gamma_{t2}^{-1}; whenever the
-    result is integral it is automatically a member at t2.
+    The transport conjugates by Gamma_t then Gamma_{t2}^{-1}, that is by diag(c)
+    with c = t_n Gamma_{t2} / Gamma_t; an integral result is a member at t2.
     """
-    g1 = xm.to_fraction(sl.gamma_matrix(t))
-    g2 = xm.to_fraction(sl.gamma_matrix(t2))
-    M = xm.matmul(xm.inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
-                                                          xm.matmul(xm.inverse(g1), g2))))
-    if not xm.is_integral(M):
-        return None
-    return xm.to_int(M)
+    t, t2 = sl.validate_type(t), sl.validate_type(t2)
+    if len(t) != len(t2) or not xm.is_square(S) or len(S) != 2 * len(t):
+        raise DimensionMismatch("matrix and types do not have matching sizes")
+    c = (t[-1],) * len(t) + tuple(t[-1] * b // a for a, b in zip(t, t2))
+    return _diag_conjugate(xm.to_fraction(S), c)
 
 
 # ---------------------------------------------------------------------------

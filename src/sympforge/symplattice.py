@@ -69,17 +69,6 @@ def standard_gram(t):
     return G
 
 
-def gamma_matrix(t):
-    """diag(I_n, D_t): basis change between the two lattice pictures."""
-    t = validate_type(t)
-    n = len(t)
-    G = xm.zeros(2 * n, 2 * n)
-    for i in range(n):
-        G[i][i] = 1
-        G[n + i][n + i] = t[i]
-    return G
-
-
 def check_gram(omega):
     """Validate an integer antisymmetric Gram matrix; returns half-dimension."""
     m = len(omega)

@@ -258,7 +258,8 @@ def binary_grid_header(tmp_path, psi_file):
 @pytest.mark.parametrize("case", ["tol_env_not_a_number", "negative_bound", "empty_gram",
                                   "list_input", "zero_denominator_min_type",
                                   "zero_denominator_aff", "missing_payload",
-                                  "payload_outside_header_dir", "absolute_payload"])
+                                  "payload_outside_header_dir", "absolute_payload",
+                                  "period_not_an_object", "float_matrix_entry"])
 def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
     if case == "tol_env_not_a_number":
         monkeypatch.setenv("SYMPFORGE_TOL", "abc")
@@ -277,6 +278,12 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     elif case == "zero_denominator_aff":
         g = {"a": [["1", "0"], ["0", "1"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}
         argv = ["aff", "compose", "--in", write(tmp_path, "aff.json", {"g1": g, "g2": g})]
+    elif case == "period_not_an_object":
+        payload = {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(), "orientation": 1,
+                   "N": [1], "V": {"rank": 2, "coeffs": np.zeros((2, 4, 4)).tolist()}}
+        argv = ["selfdual", "check", "--in", write(tmp_path, "sd.json", payload)]
+    elif case == "float_matrix_entry":
+        argv = ["group", "min-type", "--matrix", write(tmp_path, "t.json", [[1, 0.5], [0, 1]])]
     else:
         psi_file = {"missing_payload": "absent.f64",
                     "payload_outside_header_dir": "../psi.f64",
@@ -288,6 +295,15 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     assert code == 2
     assert json.loads(captured.out)["status"] == "invalid_input"
     assert "Traceback" not in captured.err
+
+
+def test_dyon_build_records_digest_of_taming_file(tmp_path, capsys):
+    path = tmp_path / "J.json"
+    path.write_text(json.dumps([[0.0, 1.0], [-1.0, 0.0]]))
+    code, report = run(capsys, ["dyon", "build", "--v", "0,1", "--J", str(path)])
+    assert code == 0
+    assert report["manifest"]["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_stdin_digest_matches_file_digest(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,208 @@
+"""The integer group kernels against the Fraction-elimination methods they
+replaced, which are kept here as oracles."""
+
+import random
+from fractions import Fraction
+from functools import reduce
+from math import lcm
+
+import pytest
+
+from sympforge import exactmat as xm
+from sympforge import monodromy, siegel
+from sympforge import symplattice as sl
+
+MEMBER_TYPES = [(1,), (1, 2), (2, 4), (1, 2, 4)]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def det_oracle(A):
+    """Gaussian elimination over the rationals."""
+    n = len(A)
+    M = xm.to_fraction(A)
+    sign = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            f = M[r][col] / M[col][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    result = Fraction(sign)
+    for i in range(n):
+        result *= M[i][i]
+    return result
+
+
+def member_oracle(S, t):
+    """S^T Omega_t S == Omega_t as two full matrix products."""
+    if not xm.is_integral(S):
+        return False
+    S, G = xm.to_int(S), sl.standard_gram(t)
+    return xm.mat_equal(xm.matmul(xm.transpose(S), xm.matmul(G, S)), G)
+
+
+def gamma(t):
+    """diag(I_n, D_t) as a Fraction matrix."""
+    n = len(t)
+    return [[Fraction(1 if i < n else t[i - n]) if i == j else Fraction(0)
+             for j in range(2 * n)] for i in range(2 * n)]
+
+
+def transport_oracle(S, t, t2):
+    """Gamma_{t2}^-1 Gamma_t S Gamma_t^-1 Gamma_{t2} by Fraction matrix products."""
+    g1, g2 = gamma(t), gamma(t2)
+    M = xm.matmul(xm.inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
+                                                          xm.matmul(xm.inverse(g1), g2))))
+    return xm.to_int(M) if xm.is_integral(M) else None
+
+
+def admissible_oracle(T, cap):
+    """Every chain t dividing cap with Gamma_t^-1 T Gamma_t integral."""
+    n = len(T) // 2
+    return [t for t in siegel._divisor_chains(n, cap)
+            if transport_oracle(T, sl.delta(n), t) is not None]
+
+
+def planted_min_type_input(rng, t):
+    """Gamma_t S Gamma_t^-1 for a random type-t member S: a rational
+    symplectic matrix for the principal form."""
+    S = siegel.random_member(t, rng, word_length=6).rows()
+    return xm.matmul(gamma(t), xm.matmul(xm.to_fraction(S), xm.inverse(gamma(t))))
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverse
+
+@pytest.mark.parametrize("t", MEMBER_TYPES)
+def test_closed_form_inverse_matches_gauss_jordan(t):
+    rng = random.Random(sum(t))
+    for _ in range(25):
+        g = siegel.random_member(t, rng, word_length=8)
+        inv = g.inverse()
+        assert inv.rows() == xm.to_int(xm.inverse(g.rows()))
+        assert (g @ inv).is_identity() and (inv @ g).is_identity()
+
+
+@pytest.mark.parametrize("S, t", [(((2, 0), (0, 1)), (2,)),   # integral candidate inverse
+                                  (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+                                   (1, 2))])                  # non-integral one
+def test_closed_form_inverse_rejects_a_non_member(S, t):
+    bad = siegel.SiegelElement(S, t)          # bypasses the check in make
+    assert not member_oracle(S, t)
+    with pytest.raises(siegel.NotSymplectic):
+        bad.inverse()
+
+
+# ---------------------------------------------------------------------------
+# sparse membership test
+
+@pytest.mark.parametrize("t", MEMBER_TYPES)
+def test_sparse_membership_matches_full_product(t):
+    rng = random.Random(100 + sum(t))
+    m = 2 * len(t)
+    for _ in range(25):
+        S = siegel.random_member(t, rng, word_length=6).rows()
+        assert siegel.is_member(S, t) and member_oracle(S, t)
+        bumped = [row[:] for row in S]
+        bumped[rng.randrange(m)][rng.randrange(m)] += rng.choice([-1, 1])
+        assert siegel.is_member(bumped, t) == member_oracle(bumped, t)
+        halved = [row[:] for row in S]
+        halved[rng.randrange(m)][rng.randrange(m)] += Fraction(1, 2)
+        assert siegel.is_member(halved, t) is False and member_oracle(halved, t) is False
+        as_fractions = xm.to_fraction(S)
+        assert siegel.is_member(as_fractions, t) and member_oracle(as_fractions, t)
+    swapped = [[0] * m for _ in range(m)]
+    for i in range(m):
+        swapped[i][(i + len(t)) % m] = 1                 # S^T Omega_t S = -Omega_t
+    assert not siegel.is_member(swapped, t) and not member_oracle(swapped, t)
+
+
+@pytest.mark.parametrize("S, t", [(xm.identity(2), (1, 2)), ([[1, 0], [0]], (1,)),
+                                  ([[1, 0, 0], [0, 1, 0]], (1,))])
+def test_sparse_membership_rejects_wrong_shapes(S, t):
+    with pytest.raises(siegel.DimensionMismatch):
+        siegel.is_member(S, t)
+
+
+# ---------------------------------------------------------------------------
+# Bareiss determinant
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(7)
+    cases = [[[5]], [[Fraction(-3, 4)]], [], [[0, 1], [1, 0]],
+             [[0, 2, 1], [0, 1, 3], [4, 5, 6]],          # zero leading pivots
+             [[1, 2, 3], [2, 4, 6], [7, 8, 9]],          # singular: dependent rows
+             [[0, 0], [0, 0]]]
+    for dim in (2, 3, 5, 8, 12):
+        cases.append([[rng.randint(-50, 50) for _ in range(dim)] for _ in range(dim)])
+        cases.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(dim)]
+                      for _ in range(dim)])
+        A = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+        A[-1] = [x - 2 * y for x, y in zip(A[0], A[1])]
+        cases.append(A)
+    for A in cases:
+        d = xm.det(A)
+        assert isinstance(d, Fraction) and d == det_oracle(A)
+
+
+# ---------------------------------------------------------------------------
+# entrywise Gamma conjugation
+
+def test_transport_matches_fraction_matrix_oracle():
+    rng = random.Random(11)
+    pairs = [((1,), (2,)), ((2,), (1,)), ((1,), (3,)), ((1, 2), (2, 4)), ((2, 4), (1, 2)),
+             ((1, 1, 2), (1, 2, 4)), ((1, 2, 4), (2, 2, 4))]
+    for t, t2 in pairs:
+        for _ in range(20):
+            S = siegel.random_member(t, rng, word_length=4).rows()
+            assert siegel.transport(S, t, t2) == transport_oracle(S, t, t2)
+    with pytest.raises(siegel.DimensionMismatch):
+        siegel.transport(xm.identity(2), (1,), (1, 2))
+
+
+@pytest.mark.parametrize("t", [(2,), (3,), (2, 6), (1, 4), (2, 2)])
+def test_min_type_is_the_meet_of_all_admissible_chains(t):
+    rng = random.Random(20 + sum(t))
+    for _ in range(8):
+        T = planted_min_type_input(rng, t)
+        L = lcm(*(x.denominator for row in T for x in row))
+        admissible = admissible_oracle(T, L ** len(t))
+        meet = reduce(lambda a, b: sl.type_meet_join(a, b)[0], admissible)
+        assert meet in admissible
+        assert siegel.element_min_type(T) == meet
+
+
+def test_min_type_postcondition_raises_if_meet_not_admissible(monkeypatch):
+    # the admissible chains are meet-closed; fake a set that is not,
+    # {(2,), (3,)} with meet (1,), to see the post-condition fire
+    def fake(S, c):
+        return [[0]] if c[-1] in (2, 3) else None
+    monkeypatch.setattr(siegel, "_diag_conjugate", fake)
+    with pytest.raises(RuntimeError, match="not admissible"):
+        siegel.element_min_type([[1, Fraction(1, 6)], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# budget guard
+
+def test_budget_guard_fires_before_any_candidate(monkeypatch):
+    t = (1, 1)
+    rng = random.Random(5)
+    images = [siegel.random_member(t, rng, word_length=3) for _ in range(2)]
+    rep = monodromy.Representation(tuple(images), t)
+    calls = []
+    monkeypatch.setattr(siegel, "is_member", lambda *args: calls.append(args) or True)
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        monodromy.conjugacy_test_bounded(rep, rep, 1, budget=500)
+    assert calls == []
+    monkeypatch.undo()
+    # a budget equal to the candidate count, 3^4 = 81, is not exceeded
+    rep1 = monodromy.Representation((siegel.random_member((1,), rng, word_length=3),), (1,))
+    gamma_found, cert = monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=81)
+    assert cert == "found" and siegel.is_member(gamma_found, (1,))
