@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -24,8 +25,9 @@ class UsageError(Exception):
 
 
 # every exception that means "invalid input": exit 2, status invalid_input
-# (json.JSONDecodeError and the library's input errors are ValueErrors)
-INVALID_INPUT = (UsageError, ValueError, KeyError)
+# (json.JSONDecodeError and the library's input errors are ValueErrors; a
+# conjugacy search over its budget asks for a lower --bound)
+INVALID_INPUT = (UsageError, ValueError, KeyError, monodromy.BoundTooLargeForBudget)
 
 
 def default_tol():
@@ -46,10 +48,8 @@ def _read_json(path, kind=None):
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
     data = json.loads(text)
-    if kind is not None and not isinstance(data, kind):
-        want = "an object" if kind is dict else "an array"
-        raise UsageError(f"{path}: top-level JSON value must be {want}, "
-                         f"not {type(data).__name__}")
+    if kind is not None:
+        serialize.checked(data, kind, f"{path}: top-level JSON value")
     return data, {path: hashlib.sha256(text.encode()).hexdigest()}
 
 
@@ -74,7 +74,7 @@ def _parse_type(text):
 
 
 def _parse_vector(text):
-    return [float(x) for x in str(text).split(",")]
+    return serialize.float_array_from_json([float(x) for x in str(text).split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,15 @@ def cmd_aff(args, tol):
 def cmd_taming(args, tol):
     data, inputs = _read_json(args.infile, list if args.action == "check" else None)
     if args.action == "check":
-        ok, rep = taming.is_taming(np.asarray(data, dtype=float), tol=max(tol, 1e-10))
+        ok, rep = taming.is_taming(serialize.float_array_from_json(data), tol=max(tol, 1e-10))
         return _emit({"status": "ok", "taming": ok, "report": rep,
                       "manifest": _manifest(args, inputs, tol)}, 0 if ok else 1)
     if isinstance(data, dict) and "R" in data:
         J = taming.theta_forward(serialize.period_from_json(data))
         out = {"J": serialize.float_matrix_to_json(J)}
     else:
-        J = np.asarray(data.get("J", data) if isinstance(data, dict) else data,
-                       dtype=float)
+        J = serialize.float_array_from_json(data.get("J", data) if isinstance(data, dict)
+                                            else data)
         out = {"N": serialize.period_to_json(taming.theta_inverse(J))}
     out.update(status="ok", manifest=_manifest(args, inputs, tol))
     return _emit(out, 0)
@@ -140,8 +140,8 @@ def cmd_taming(args, tol):
 
 def cmd_selfdual(args, tol):
     data, inputs = _read_json(args.infile, dict)
-    p = forms4d.LorentzPoint(np.asarray(data["metric"], dtype=float),
-                             int(data.get("orientation", 1)))
+    p = forms4d.LorentzPoint(serialize.float_array_from_json(data["metric"]),
+                             serialize.int_from_json(data.get("orientation", 1)))
     N = serialize.period_from_json(data["N"])
     V = serialize.two_form_from_json(data["V"])
     ok, F, rep = forms4d.check_polarized_selfdual(p, N, V, tol=tol)
@@ -154,8 +154,8 @@ def cmd_selfdual(args, tol):
 
 def cmd_reduce(args, tol):
     data, inputs = _read_json(args.infile, dict)
-    p = forms4d.LorentzPoint(np.asarray(data["metric"], dtype=float),
-                             int(data.get("orientation", 1)))
+    p = forms4d.LorentzPoint(serialize.float_array_from_json(data["metric"]),
+                             serialize.int_from_json(data.get("orientation", 1)))
     omega = serialize.two_form_from_json(data["omega"])
     resid = reduction3d.star_decompose_check(p, omega)
     ok = resid < max(tol, 1e-10)
@@ -169,7 +169,7 @@ def cmd_bogomolny(args, tol):
     grid, fields = serialize.grid_field_from_json(data, os.path.dirname(args.infile) or ".")
     if "psi" not in fields or "V" not in fields:
         raise UsageError("grid payload must provide fields 'psi' and 'V'")
-    J = np.asarray(data["J"], dtype=float)
+    J = serialize.float_array_from_json(data["J"])
     rep = reduction3d.bogomolny_residual(
         grid, J, reduction3d.BogomolnyPair(fields["psi"], fields["V"]))
     threshold = args.threshold if args.threshold is not None else 1e-6
@@ -187,7 +187,7 @@ def _taming_from_spec(spec, n):
         theta, gsq = (float(x) for x in spec[5:].split(","))
         return taming.electrodynamics_taming(theta, gsq), None
     data, inputs = _read_json(spec, list)
-    return np.asarray(data, dtype=float), inputs
+    return serialize.float_array_from_json(data), inputs
 
 
 def cmd_dyon(args, tol):
@@ -198,12 +198,10 @@ def cmd_dyon(args, tol):
         J, inputs = _taming_from_spec(args.J, len(v) // 2)
     else:
         data, inputs = _read_json(args.infile, dict)
-        v = data["v"]
-        vprime = data.get("vprime", [0.0] * len(v))
-        t = tuple(data["type"]) if "type" in data else None
-        J = np.asarray(data["J"], dtype=float)
-    import warnings
-
+        v = serialize.float_array_from_json(data["v"])
+        vprime = serialize.float_array_from_json(data.get("vprime", np.zeros_like(v)))
+        t = serialize.int_tuple_from_json(data["type"]) if "type" in data else None
+        J = serialize.float_array_from_json(data["J"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dyons.NonIntegerVWarning)
         sol = dyons.dyon_construct(J, v, vprime, type_ctx=t)
@@ -239,26 +237,29 @@ def cmd_monodromy(args, tol):
     data, inputs = _read_json(args.infile, dict)
     manifest = _manifest(args, inputs, tol)
     if args.action == "validate":
-        pres = monodromy.Presentation.make(data["presentation"]["generators"],
-                                           data["presentation"]["relators"])
-        rep = monodromy.Representation.make(
-            [serialize.int_matrix_from_json(m) for m in data["images"]],
-            tuple(data["type"]))
+        pres = serialize.checked(data["presentation"], dict, "presentation")
+        pres = monodromy.Presentation.make(
+            serialize.int_from_json(pres["generators"]),
+            [serialize.int_tuple_from_json(word, "a relator")
+             for word in serialize.checked(pres["relators"], list, "relators")])
+        images = serialize.checked(data["images"], list, "images")
+        rep = monodromy.Representation.make([serialize.int_matrix_from_json(m) for m in images],
+                                            serialize.int_tuple_from_json(data["type"]))
         ok = monodromy.validate_representation(pres, rep)
         return _emit({"status": "ok", "valid": ok, "manifest": manifest},
                      0 if ok else 1)
     if args.action == "dirac-verify":
-        images = [serialize.rational_matrix_from_json(m) for m in data["images"]]
+        images = [serialize.rational_matrix_from_json(m)
+                  for m in serialize.checked(data["images"], list, "images")]
         L = serialize.rational_matrix_from_json(data["lattice"])
         ok, t = monodromy.verify_dirac_system(images, L)
         return _emit({"status": "ok", "preserved": ok,
                       "type": list(t) if t else None, "manifest": manifest},
                      0 if ok else 1)
-    t = tuple(data["type"])
-    rep1 = monodromy.Representation.make(
-        [serialize.int_matrix_from_json(m) for m in data["rep1"]], t)
-    rep2 = monodromy.Representation.make(
-        [serialize.int_matrix_from_json(m) for m in data["rep2"]], t)
+    t = serialize.int_tuple_from_json(data["type"])
+    rep1, rep2 = (monodromy.Representation.make(
+        [serialize.int_matrix_from_json(m) for m in serialize.checked(data[key], list, key)], t)
+        for key in ("rep1", "rep2"))
     gamma, cert = monodromy.conjugacy_test_bounded(rep1, rep2, args.bound)
     report = {"status": "ok", "certificate": cert, "manifest": manifest}
     if gamma is not None:
@@ -285,65 +286,34 @@ def build_parser():
                     help="override the default tolerance (env SYMPFORGE_TOL)")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    lat = sub.add_parser("lattice")
-    lat.add_argument("action", choices=["normal-form", "type"])
-    lat.add_argument("--in", dest="infile", required=True)
-    lat.set_defaults(func=cmd_lattice)
+    def add(name, actions, func, infile="--in", dest="infile", required=True):
+        p = sub.add_parser(name)
+        p.add_argument("action", choices=actions)
+        if infile:
+            p.add_argument(infile, dest=dest, required=required)
+        p.set_defaults(func=func)
+        return p
 
-    grp = sub.add_parser("group")
-    grp.add_argument("action", choices=["check", "min-type"])
-    grp.add_argument("--matrix", required=True)
-    grp.add_argument("--type", default=None)
-    grp.set_defaults(func=cmd_group)
-
-    aff = sub.add_parser("aff")
-    aff.add_argument("action", choices=["compose"])
-    aff.add_argument("--in", dest="infile", required=True)
-    aff.set_defaults(func=cmd_aff)
-
-    tam = sub.add_parser("taming")
-    tam.add_argument("action", choices=["convert", "check"])
-    tam.add_argument("--in", dest="infile", required=True)
-    tam.set_defaults(func=cmd_taming)
-
-    sd = sub.add_parser("selfdual")
-    sd.add_argument("action", choices=["check"])
-    sd.add_argument("--in", dest="infile", required=True)
-    sd.set_defaults(func=cmd_selfdual)
-
-    red = sub.add_parser("reduce")
-    red.add_argument("action", choices=["astdec-check"])
-    red.add_argument("--in", dest="infile", required=True)
-    red.set_defaults(func=cmd_reduce)
-
-    bog = sub.add_parser("bogomolny")
-    bog.add_argument("action", choices=["residual"])
-    bog.add_argument("--in", dest="infile", required=True)
-    bog.add_argument("--threshold", type=float, default=None)
-    bog.set_defaults(func=cmd_bogomolny)
-
-    dy = sub.add_parser("dyon")
-    dy.add_argument("action", choices=["build", "flux"])
-    dy.add_argument("--in", dest="infile")
-    dy.add_argument("--type", default=None)
-    dy.add_argument("--v", default=None)
-    dy.add_argument("--vprime", default=None)
+    add("lattice", ["normal-form", "type"], cmd_lattice)
+    add("group", ["check", "min-type"], cmd_group, "--matrix", dest="matrix").add_argument(
+        "--type", default=None)
+    add("aff", ["compose"], cmd_aff)
+    add("taming", ["convert", "check"], cmd_taming)
+    add("selfdual", ["check"], cmd_selfdual)
+    add("reduce", ["astdec-check"], cmd_reduce)
+    add("bogomolny", ["residual"], cmd_bogomolny).add_argument(
+        "--threshold", type=float, default=None)
+    dy = add("dyon", ["build", "flux"], cmd_dyon, required=False)
+    for flag in ("--type", "--v", "--vprime"):
+        dy.add_argument(flag, default=None)
     dy.add_argument("--J", default="std")
-    dy.set_defaults(func=cmd_dyon)
-
-    ed = sub.add_parser("edyn")
-    ed.add_argument("action", choices=["build"])
+    ed = add("edyn", ["build"], cmd_edyn, infile=None)
     ed.add_argument("--theta", type=float, default=0.0)
     ed.add_argument("--gsq", type=float, default=4 * np.pi)
     ed.add_argument("--qe", type=int, default=0)
     ed.add_argument("--qm", type=int, default=0)
-    ed.set_defaults(func=cmd_edyn)
-
-    mon = sub.add_parser("monodromy")
-    mon.add_argument("action", choices=["validate", "dirac-verify", "conjugacy"])
-    mon.add_argument("--in", dest="infile", required=True)
-    mon.add_argument("--bound", type=int, default=2)
-    mon.set_defaults(func=cmd_monodromy)
+    add("monodromy", ["validate", "dirac-verify", "conjugacy"], cmd_monodromy).add_argument(
+        "--bound", type=int, default=2)
 
     st = sub.add_parser("selftest")
     st.add_argument("scope", nargs="?", default="all")

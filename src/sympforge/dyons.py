@@ -271,7 +271,7 @@ def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq, tol=1e-5)
             or E_vec.shape[:3] != Phi.shape[:3] or E_vec.shape[:3] != grid.shape:
         raise SampleMismatch("fields must share the grid sample set")
 
-    h = grid.metric_field()
+    h = grid.metric
     grad_phi = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Phi))
     grad_ups = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Upsilon))
     res_e = grad_phi + E_vec                     # grad(-Phi) = E

@@ -34,10 +34,6 @@ def matvec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def scale(A, c):
-    return [[c * x for x in row] for row in A]
-
-
 def sub(A, B):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 

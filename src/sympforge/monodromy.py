@@ -100,6 +100,8 @@ def verify_dirac_system(images, lattice_basis):
     Linv = xm.inverse(L)
     for T in images:
         T = xm.to_fraction(T)
+        if len(T) != m or not xm.is_square(T):
+            raise ShapeMismatch(f"images must be {m}x{m}, like the lattice basis")
         if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
             raise sl.NotSymplectic("image is not symplectic for the standard form")
         C = xm.matmul(Linv, xm.matmul(T, L))

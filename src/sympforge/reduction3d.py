@@ -43,6 +43,8 @@ class Grid3:
             raise ValueError("shape and spacing must have three entries")
         if min(self.shape) < 3:
             raise GridTooSmall("need at least 3 nodes per axis for central differences")
+        if not all(0 < h < np.inf for h in self.spacing):
+            raise ValueError("spacing must be positive and finite")
         if self.metric is None:
             self.metric = np.eye(3)
         self.metric = np.asarray(self.metric, dtype=float)
@@ -60,11 +62,6 @@ class Grid3:
         """Coordinate arrays of shape (*shape, 3)."""
         X = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(X, axis=-1)
-
-    def metric_field(self):
-        if self.metric.shape == (3, 3):
-            return np.broadcast_to(self.metric, self.shape + (3, 3))
-        return self.metric
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +205,7 @@ def divergence(grid, X):
 
     X has shape (*shape, ..., 3) with contravariant last index.
     """
-    h = grid.metric_field()
-    vol = np.sqrt(np.linalg.det(h))
+    vol = np.sqrt(np.linalg.det(grid.metric))
     volX = vol[(...,) + (None,) * (X.ndim - 4)] * np.moveaxis(X, -1, 0)
     out = sum(np.gradient(volX[k], grid.spacing[k], axis=k, edge_order=2)
               for k in range(3))
@@ -239,7 +235,7 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
         E = E[..., None, :]
         B = B[..., None, :, :]
 
-    h = grid.metric_field()[..., None, :, :]
+    h = grid.metric[..., None, :, :]
     Evec = sharp(h, E)
     Bvec = sharp(h, forms4d.hodge_star(grid.metric, B, 2))
     grad_phi_vec = sharp(h, grad_nodes(grid, Phi))

@@ -20,10 +20,36 @@ def int_matrix_to_json(A):
     return [[str(int(x)) for x in row] for row in A]
 
 
-def _int_from_json(x):
+def int_from_json(x):
     if type(x) not in (int, str):
         raise ValueError(f"expected an integer or a decimal string, not {x!r}")
     return int(x)
+
+
+def checked(data, kind, what):
+    """data, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(data, kind):
+        raise ValueError(f"{what} must be {'an object' if kind is dict else 'an array'}, "
+                         f"not {type(data).__name__}")
+    return data
+
+
+def int_tuple_from_json(data, what="a type"):
+    return tuple(int_from_json(x) for x in checked(data, list, what))
+
+
+def float_array_from_json(data, shape=None):
+    """A JSON number or nested array of finite numbers as a float ndarray,
+    which must have the given shape if one is given."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"expected numbers: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("expected finite numbers")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"expected an array of shape {shape}, not {arr.shape}")
+    return arr
 
 
 def _matrix_from_json(data, entry):
@@ -33,7 +59,7 @@ def _matrix_from_json(data, entry):
 
 
 def int_matrix_from_json(data):
-    return _matrix_from_json(data, _int_from_json)
+    return _matrix_from_json(data, int_from_json)
 
 
 def fraction_to_json(x):
@@ -43,8 +69,8 @@ def fraction_to_json(x):
 
 def fraction_from_json(data):
     if not isinstance(data, list):
-        return Fraction(_int_from_json(data))
-    num, den = (_int_from_json(x) for x in data)
+        return Fraction(int_from_json(data))
+    num, den = (int_from_json(x) for x in data)
     if den == 0:
         raise ValueError(f"rational {data!r} has a zero denominator")
     return Fraction(num, den)
@@ -70,9 +96,11 @@ def aff_to_json(g):
 
 def aff_from_json(data):
     from . import siegel
+    data = checked(data, dict, "an affine element")
     rot = siegel.SiegelElement.make(int_matrix_from_json(data["gamma"]),
-                                    tuple(data["type"]))
-    return siegel.AffElement.make([fraction_from_json(x) for x in data["a"]], rot)
+                                    int_tuple_from_json(data["type"]))
+    return siegel.AffElement.make([fraction_from_json(x) for x in checked(data["a"], list, "a")],
+                                  rot)
 
 
 def period_to_json(N):
@@ -81,10 +109,9 @@ def period_to_json(N):
 
 def period_from_json(data):
     from . import taming
-    if not isinstance(data, dict):
-        raise ValueError(f"a period matrix is an object with keys R and I, not {data!r}")
-    return taming.PeriodMatrix(np.asarray(data["R"], dtype=float),
-                               np.asarray(data["I"], dtype=float))
+    data = checked(data, dict, "a period matrix")
+    return taming.PeriodMatrix(float_array_from_json(data["R"]),
+                               float_array_from_json(data["I"]))
 
 
 def two_form_to_json(V):
@@ -93,8 +120,9 @@ def two_form_to_json(V):
 
 
 def two_form_from_json(data):
-    V = np.asarray(data["coeffs"], dtype=float)
-    if V.shape[0] != data["rank"]:
+    data = checked(data, dict, "a two-form")
+    V = float_array_from_json(data["coeffs"])
+    if V.shape[:1] != (data["rank"],):
         raise ValueError("declared rank does not match coefficient count")
     return V
 
@@ -132,6 +160,8 @@ def grid_field_to_json(grid, fields, path=None, binary=False):
 
 def _payload_path(base_dir, name):
     """Resolve a binary payload name, which must stay inside base_dir."""
+    if not isinstance(name, str):
+        raise ValueError(f"payload file name {name!r} must be a string")
     base = os.path.realpath(base_dir)
     path = os.path.realpath(os.path.join(base, name))
     if os.path.isabs(name) or os.path.commonpath([base, path]) != base:
@@ -147,16 +177,19 @@ def grid_field_from_json(header, base_dir="."):
         base_dir = os.path.dirname(header) or "."
         with open(header) as fh:
             header = json.load(fh)
-    grid = reduction3d.Grid3(shape=tuple(header["shape"]),
-                             spacing=tuple(header["spacing"]),
-                             origin=tuple(header.get("origin", (0, 0, 0))),
-                             metric=np.asarray(header.get("metric", np.eye(3))))
-    specs = header["fields"]
+    header = checked(header, dict, "a grid header")
+    grid = reduction3d.Grid3(
+        shape=int_tuple_from_json(header["shape"], "a grid shape"),
+        spacing=tuple(float_array_from_json(header["spacing"], (3,))),
+        origin=tuple(float_array_from_json(header.get("origin", (0, 0, 0)), (3,))),
+        metric=float_array_from_json(header.get("metric", np.eye(3))))
+    specs = {name: checked(spec, dict, f"field {name!r}")
+             for name, spec in checked(header["fields"], dict, "fields").items()}
     paths = {name: _payload_path(base_dir, spec["file"])
              for name, spec in specs.items() if "file" in spec}
     fields = {}
     for name, spec in specs.items():
-        shape = tuple(spec["shape"])
+        shape = int_tuple_from_json(spec["shape"], "a field shape")
         if name in paths:
             try:
                 arr = np.fromfile(paths[name], dtype="<f8").reshape(shape)
@@ -164,6 +197,6 @@ def grid_field_from_json(header, base_dir="."):
                 raise ValueError(f"cannot read payload file {spec['file']!r}: "
                                  f"{exc.strerror}") from None
         else:
-            arr = np.asarray(spec["data"], dtype=float).reshape(shape)
+            arr = float_array_from_json(spec["data"]).reshape(shape)
         fields[name] = arr
     return grid, fields

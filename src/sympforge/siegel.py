@@ -93,23 +93,19 @@ class SiegelElement:
         return xm.mat_equal(self.rows(), xm.identity(len(self.matrix)))
 
 
-def _divisor_chains(n, cap):
-    """All divisibility chains of length n whose entries divide cap."""
-    divs = sorted(d for d in range(1, cap + 1) if cap % d == 0)
-    chains = [()]
-    for _ in range(n):
-        chains = [c + (d,) for c in chains for d in divs
-                  if not c or d % c[-1] == 0]
-    return chains
+def element_min_type(T):
+    """Minimal type t with Gamma_t^{-1} T Gamma_t integral, for T = [[A, B], [C, D]]
+    exactly symplectic for the principal form.
 
-
-def element_min_type(T, search_factor=1):
-    """Minimal type t with Gamma_t^{-1} T Gamma_t integral.
-
-    T must be an exactly symplectic rational matrix for the principal form.
-    The search runs over divisor chains bounded by (lcm of entry
-    denominators)^n; raises NotFound if no chain in that range works.  The
-    set of admissible types is closed under meets, so the minimum is unique.
+    The conjugate is [[A, B D_t], [D_t^-1 C, D_t^-1 D D_t]].  Its B and D blocks
+    and the chain condition give lower bounds that grow with t: den(B_ij) | t_j,
+    t_{j-1} | t_j, and q t_i / gcd(t_i, p) | t_j for D_ij = p/q.  Raised to their
+    least fixed point they give a chain dividing every admissible type; the A
+    and C conditions (A integral, t_i | C_ij) only fail more as t grows, so that
+    chain is the minimum if any type is admissible.  Like the types a search
+    would try, its entries must divide cap = (lcm of entry denominators)^n;
+    without that bound the raising need not stop (D_11 = 1/2 doubles t_1 on
+    each pass).  Raises NotFound when an entry leaves cap or A, C fail.
     """
     T = xm.to_fraction(T)
     m = len(T)
@@ -119,18 +115,24 @@ def element_min_type(T, search_factor=1):
     if not _preserves_form(T, sl.delta(n)):
         raise NotSymplectic("matrix is not symplectic for the standard form")
 
-    L = lcm(*(x.denominator for row in T for x in row))
-    cap = max(1, L) ** n * max(1, search_factor)
-    candidates = [t for t in _divisor_chains(n, cap)
-                  if _diag_conjugate(T, (1,) * n + t) is not None]
-    if not candidates:
+    cap = lcm(*(x.denominator for row in T for x in row)) ** n
+    D = [row[n:] for row in T[n:]]
+    t = [lcm(*(row[n + j].denominator for row in T[:n])) for j in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            need = lcm(t[j], t[j - 1] if j else 1,
+                       *(D[i][j].denominator * t[i] // gcd(t[i], D[i][j].numerator)
+                         for i in range(n)))
+            if need != t[j]:
+                if cap % need:
+                    raise NotFound(f"no admissible type with entries dividing {cap}")
+                t[j], changed = need, True
+    t = tuple(t)
+    if _diag_conjugate(T, (1,) * n + t) is None:
         raise NotFound(f"no admissible type with entries dividing {cap}")
-    meet = candidates[0]
-    for t in candidates[1:]:
-        meet, _ = sl.type_meet_join(meet, t)
-    if meet not in candidates:
-        raise RuntimeError(f"the meet {meet} of the admissible types is not admissible")
-    return meet
+    return t
 
 
 def transport(S, t, t2):

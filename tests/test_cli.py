@@ -259,7 +259,10 @@ def binary_grid_header(tmp_path, psi_file):
                                   "list_input", "zero_denominator_min_type",
                                   "zero_denominator_aff", "missing_payload",
                                   "payload_outside_header_dir", "absolute_payload",
-                                  "period_not_an_object", "float_matrix_entry"])
+                                  "period_not_an_object", "float_matrix_entry", "over_budget",
+                                  "null_affine_element", "object_in_float_matrix",
+                                  "null_charge", "nan_charge_argument", "zero_spacing",
+                                  "ragged_dirac_image"])
 def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
     if case == "tol_env_not_a_number":
         monkeypatch.setenv("SYMPFORGE_TOL", "abc")
@@ -284,6 +287,30 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
         argv = ["selfdual", "check", "--in", write(tmp_path, "sd.json", payload)]
     elif case == "float_matrix_entry":
         argv = ["group", "min-type", "--matrix", write(tmp_path, "t.json", [[1, 0.5], [0, 1]])]
+    elif case == "over_budget":
+        identity = np.eye(4, dtype=int).tolist()
+        reps = {"rep1": [identity], "rep2": [identity], "type": [1, 1]}
+        argv = ["monodromy", "conjugacy", "--in", write(tmp_path, "conj.json", reps),
+                "--bound", "1"]
+    elif case == "null_affine_element":
+        g = {"a": [["1", "2"], ["0", "1"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}
+        argv = ["aff", "compose", "--in", write(tmp_path, "aff.json", {"g1": None, "g2": g})]
+    elif case == "object_in_float_matrix":
+        argv = ["taming", "check", "--in", write(tmp_path, "J.json", [[0.0, {}], [-1.0, 0.0]])]
+    elif case == "null_charge":
+        payload = {"v": [None, 1], "J": [[0.0, 1.0], [-1.0, 0.0]]}
+        argv = ["dyon", "flux", "--in", write(tmp_path, "dyon.json", payload)]
+    elif case == "nan_charge_argument":
+        argv = ["dyon", "build", "--v", "nan,1"]
+    elif case == "zero_spacing":
+        fields = {name: {"data": np.zeros(shape).tolist(), "shape": list(shape)}
+                  for name, shape in (("psi", (3, 3, 3, 2)), ("V", (3, 3, 3, 2, 3, 3)))}
+        header = {"shape": [3, 3, 3], "spacing": [0.1, 0.1, 0.0],
+                  "J": [[0.0, 1.0], [-1.0, 0.0]], "fields": fields}
+        argv = ["bogomolny", "residual", "--in", write(tmp_path, "grid.json", header)]
+    elif case == "ragged_dirac_image":
+        payload = {"images": [[[1, ["1", "2"]], []]], "lattice": [[1, 0], [0, 2]]}
+        argv = ["monodromy", "dirac-verify", "--in", write(tmp_path, "dirac.json", payload)]
     else:
         psi_file = {"missing_payload": "absent.f64",
                     "payload_outside_header_dir": "../psi.f64",

@@ -4,7 +4,7 @@ replaced, which are kept here as oracles."""
 import random
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -62,11 +62,69 @@ def transport_oracle(S, t, t2):
     return xm.to_int(M) if xm.is_integral(M) else None
 
 
+def divisor_chains(n, cap):
+    """All divisibility chains of length n whose entries divide cap."""
+    divs = sorted({d for k in range(1, isqrt(cap) + 1) if cap % k == 0 for d in (k, cap // k)})
+    chains = [()]
+    for _ in range(n):
+        chains = [c + (d,) for c in chains for d in divs
+                  if not c or d % c[-1] == 0]
+    return chains
+
+
 def admissible_oracle(T, cap):
-    """Every chain t dividing cap with Gamma_t^-1 T Gamma_t integral."""
+    """Every chain t dividing cap with Gamma_t^-1 T Gamma_t integral, the
+    entry (i, j) of which is T_ij c_j / c_i for c = (1,) * n + t."""
     n = len(T) // 2
-    return [t for t in siegel._divisor_chains(n, cap)
-            if transport_oracle(T, sl.delta(n), t) is not None]
+    T = xm.to_fraction(T)
+    return [t for t in divisor_chains(n, cap)
+            if all((x * cj / ci).denominator == 1
+                   for ci, row in zip((1,) * n + t, T) for cj, x in zip((1,) * n + t, row))]
+
+
+def min_type_oracle(T):
+    """The meet of every admissible chain dividing (lcm of denominators)^n,
+    or NotFound if there is none."""
+    n = len(T) // 2
+    cap = lcm(*(Fraction(x).denominator for row in T for x in row)) ** n
+    admissible = admissible_oracle(T, cap)
+    if not admissible:
+        return siegel.NotFound
+    meet = reduce(lambda a, b: sl.type_meet_join(a, b)[0], admissible)
+    assert meet in admissible
+    return meet
+
+
+def min_type_or_not_found(T):
+    try:
+        return siegel.element_min_type(T)
+    except siegel.NotFound:
+        return siegel.NotFound
+
+
+def random_rational_symplectic(rng, n):
+    """A product of one to three factors, each an upper or lower shear by a
+    rational symmetric matrix or diag(A, A^-T) for a rational invertible A."""
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 4, 6]))
+    T = xm.to_fraction(xm.identity(2 * n))
+    for _ in range(rng.randint(1, 3)):
+        G = xm.to_fraction(xm.identity(2 * n))
+        kind = rng.randrange(3)
+        if kind < 2:
+            rows, cols = (range(n), range(n, 2 * n)) if kind == 0 else (range(n, 2 * n), range(n))
+            for a, i in enumerate(rows):
+                for b, j in enumerate(cols):
+                    if a <= b:
+                        G[i][j] = G[rows[b]][cols[a]] = rational()
+        else:
+            A = [[rational() for _ in range(n)] for _ in range(n)]
+            while xm.det(A) == 0:
+                A = [[rational() for _ in range(n)] for _ in range(n)]
+            for i, (row, inv_row) in enumerate(zip(A, xm.transpose(xm.inverse(A)))):
+                G[i][:n], G[n + i][n:] = row, inv_row
+        T = xm.matmul(T, G)
+    return T
 
 
 def planted_min_type_input(rng, t):
@@ -171,21 +229,31 @@ def test_min_type_is_the_meet_of_all_admissible_chains(t):
     rng = random.Random(20 + sum(t))
     for _ in range(8):
         T = planted_min_type_input(rng, t)
-        L = lcm(*(x.denominator for row in T for x in row))
-        admissible = admissible_oracle(T, L ** len(t))
-        meet = reduce(lambda a, b: sl.type_meet_join(a, b)[0], admissible)
-        assert meet in admissible
-        assert siegel.element_min_type(T) == meet
+        assert siegel.element_min_type(T) == min_type_oracle(T)
 
 
-def test_min_type_postcondition_raises_if_meet_not_admissible(monkeypatch):
-    # the admissible chains are meet-closed; fake a set that is not,
-    # {(2,), (3,)} with meet (1,), to see the post-condition fire
-    def fake(S, c):
-        return [[0]] if c[-1] in (2, 3) else None
-    monkeypatch.setattr(siegel, "_diag_conjugate", fake)
-    with pytest.raises(RuntimeError, match="not admissible"):
-        siegel.element_min_type([[1, Fraction(1, 6)], [0, 1]])
+def test_min_type_matches_oracle_on_random_rational_symplectic():
+    rng = random.Random(31)
+    outcomes = []
+    for _ in range(300):
+        T = random_rational_symplectic(rng, rng.choice([1, 2]))
+        G = sl.standard_gram(sl.delta(len(T) // 2))
+        assert xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(G, T)), G)
+        outcomes.append(min_type_or_not_found(T))
+        assert outcomes[-1] == min_type_oracle(T), T
+    found = [t for t in outcomes if t is not siegel.NotFound]
+    assert len(found) >= 20 and len(outcomes) - len(found) >= 20
+    assert {len(t) for t in found} == {1, 2} and any(t[-1] > 1 for t in found)
+
+
+@pytest.mark.parametrize("T, want", [
+    ([[2, 0], [0, Fraction(1, 2)]], siegel.NotFound),     # D_11 = 1/2 doubles t_1 on each pass
+    ([[1, 0, 0, Fraction(1, 4), 0, 0], [0, 1, 0, 0, Fraction(1, 6), 0],
+      [0, 0, 1, 0, 0, Fraction(1, 12)], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+      [0, 0, 0, 0, 0, 1]], (4, 12, 12)),
+])
+def test_min_type_explicit_cases(T, want):
+    assert min_type_or_not_found(T) == want == min_type_oracle(T)
 
 
 # ---------------------------------------------------------------------------

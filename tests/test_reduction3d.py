@@ -204,3 +204,12 @@ def test_constant_metric_matches_same_metric_per_node():
         assert np.max(np.abs(const - per_node)) < 1e-12 * max(1.0, np.max(np.abs(const)))
     assert abs(bog[0]["eq_residual"] - bog[1]["eq_residual"]) < 1e-12 * max(1.0, bog[0]["eq_residual"])
     assert abs(lift[0]["residual"] - lift[1]["residual"]) < 1e-12 * max(1.0, lift[0]["residual"])
+    X = rng.standard_normal(shape + (2, 3))
+    div = [reduction3d.divergence(grid, X) for grid in grids]
+    assert np.max(np.abs(div[0] - div[1])) < 1e-12 * max(1.0, np.max(np.abs(div[0])))
+    E, B = X, pair[1][..., :2, :, :]
+    Phi, Ups = rng.standard_normal(shape + (2,)), rng.standard_normal(shape + (2,))
+    em = [reduction3d.em_static_residual(grid, np.eye(2), 2 * np.eye(2), E, B, Phi, Ups)
+          for grid in grids]
+    for key, val in em[0].items():
+        assert abs(val - em[1][key]) < 1e-12 * max(1.0, val)
