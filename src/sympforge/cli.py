@@ -26,18 +26,20 @@ class UsageError(Exception):
 
 # every exception that means "invalid input": exit 2, status invalid_input
 # (json.JSONDecodeError and the library's input errors are ValueErrors; a
-# conjugacy search over its budget asks for a lower --bound)
-INVALID_INPUT = (UsageError, ValueError, KeyError, monodromy.BoundTooLargeForBudget)
+# conjugacy search over its budget asks for a lower --bound, a charge whose
+# flux overflows for a smaller one)
+INVALID_INPUT = (UsageError, ValueError, KeyError,
+                 monodromy.BoundTooLargeForBudget, dyons.QuadratureFailure)
 
 
 def default_tol():
     return float(os.environ.get("SYMPFORGE_TOL", "1e-9"))
 
 
-def _read_json(path, kind=None):
+def _read_json(path, kind):
     """Parse a JSON input file, or stdin for "-"; returns (data, {path: sha256}).
 
-    kind, if given (dict or list), is the required type of the top-level value.
+    kind, unless None, is the required type (dict or list) of the top-level value.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -55,7 +57,7 @@ def _read_json(path, kind=None):
 
 def _manifest(args, inputs, tol, seed=None):
     return {
-        "command": sys.argv[1:],
+        "command": args.argv,
         "inputs": inputs or {},
         "tolerances": {"tol": tol},
         "seed": seed,
@@ -64,8 +66,8 @@ def _manifest(args, inputs, tol, seed=None):
 
 
 def _emit(report, code):
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    # serialized in full first: a non-finite float raises before any output
+    sys.stdout.write(json.dumps(report, indent=2, default=str, allow_nan=False) + "\n")
     return code
 
 
@@ -172,8 +174,7 @@ def cmd_bogomolny(args, tol):
     J = serialize.float_array_from_json(data["J"])
     rep = reduction3d.bogomolny_residual(
         grid, J, reduction3d.BogomolnyPair(fields["psi"], fields["V"]))
-    threshold = args.threshold if args.threshold is not None else 1e-6
-    ok = rep["eq_residual"] < threshold and rep["closure_residual"] < threshold
+    ok = rep["eq_residual"] < args.threshold and rep["closure_residual"] < args.threshold
     return _emit({"status": "ok", "eq_residual": rep["eq_residual"],
                   "closure_residual": rep["closure_residual"], "passes": ok,
                   "manifest": _manifest(args, inputs, tol)}, 0 if ok else 1)
@@ -222,7 +223,8 @@ def cmd_dyon(args, tol):
 
 
 def cmd_edyn(args, tol):
-    rep = dyons.electrodynamics_dyon(args.theta, args.gsq, args.qe, args.qm)
+    qe, qm = serialize.float_array_from_json([args.qe, args.qm])  # refuses ints beyond float range
+    rep = dyons.electrodynamics_dyon(args.theta, args.gsq, qe, qm)
     ok_fiber, fiber = dyons.h_theta_fiber_check(
         rep["grid"], rep["E_vec"], rep["B_vec"], rep["Phi"], rep["Upsilon"],
         args.theta, args.gsq)
@@ -302,7 +304,7 @@ def build_parser():
     add("selfdual", ["check"], cmd_selfdual)
     add("reduce", ["astdec-check"], cmd_reduce)
     add("bogomolny", ["residual"], cmd_bogomolny).add_argument(
-        "--threshold", type=float, default=None)
+        "--threshold", type=float, default=1e-6)
     dy = add("dyon", ["build", "flux"], cmd_dyon, required=False)
     for flag in ("--type", "--v", "--vprime"):
         dy.add_argument(flag, default=None)
@@ -332,8 +334,12 @@ def main(argv=None):
             sys.stdout.write("\n")
             return 2
         return 0
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         tol = args.tol if args.tol is not None else default_tol()
+        for name, value in (("tolerance", tol), ("--threshold", getattr(args, "threshold", 0.0))):
+            if not 0 <= value < float("inf"):
+                raise UsageError(f"{name} must be finite and non-negative, not {value}")
         if args.group == "dyon" and args.action == "build" and not args.v:
             raise UsageError("dyon build requires --v")
         if args.group == "dyon" and args.action == "flux" and not args.infile:

@@ -48,7 +48,7 @@ class DyonSolution:
     v: np.ndarray
     v_prime: np.ndarray
     J: object                 # (2n, 2n) array, or callable r -> (2n, 2n)
-    type_ctx: tuple = None
+    type_ctx: tuple           # None for delta(n)
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
@@ -108,7 +108,7 @@ class DyonSolution:
         return reduction3d.BogomolnyPair(psi=psi, V=self.V_at(X))
 
 
-def dyon_construct(J, v, v_prime, type_ctx=None, tol=1e-9):
+def dyon_construct(J, v, v_prime, type_ctx=None):
     """Build the radial dyon for a (constant or radial) taming J.
 
     Non-integer v is allowed -- the construction solves the equations for
@@ -119,7 +119,7 @@ def dyon_construct(J, v, v_prime, type_ctx=None, tol=1e-9):
     if v.shape != v_prime.shape or v.ndim != 1 or len(v) % 2:
         raise ValueError("v and v' must be equal-length even-dimensional vectors")
     J0 = J(1.0) if callable(J) else J
-    ok, report = taming.is_taming(J0, tol=max(tol, 1e-9))
+    ok, report = taming.is_taming(J0, tol=1e-9)
     if not ok:
         raise taming.NotATaming(f"J fails the taming invariants: {report}")
     if np.max(np.abs(v - np.round(v))) > 1e-8:
@@ -129,7 +129,7 @@ def dyon_construct(J, v, v_prime, type_ctx=None, tol=1e-9):
     return DyonSolution(v=v, v_prime=v_prime, J=J, type_ctx=type_ctx)
 
 
-def dyon_verify(sol, radii, fd_step=1e-5):
+def dyon_verify(sol, radii):
     """Check V = -r^2 J(r) psi'(r) sigma at each radius, plus the
     integrability derivative d/dr (r^2 J psi') by central differences.
     """
@@ -142,7 +142,7 @@ def dyon_verify(sol, radii, fd_step=1e-5):
     for r in radii:
         rhs = -r**2 * (sol.J_at(r) @ sol.dpsi_dr(r))
         eq_res = max(eq_res, float(np.max(np.abs(c - rhs))))
-        hh = fd_step * r
+        hh = 1e-5 * r
         f = lambda s: s**2 * (sol.J_at(s) @ sol.dpsi_dr(s))
         deriv = (f(r + hh) - f(r - hh)) / (2 * hh)
         integ_res = max(integ_res, float(np.max(np.abs(deriv))))
@@ -155,19 +155,19 @@ class FluxReport:
     normalized: np.ndarray
     lattice_member: bool
     realized_sign: int
-    chern: np.ndarray = None
+    chern: np.ndarray
 
 
-def flux_quantization(sol, n_polar=32, n_azimuth=64, tol=1e-8):
+def flux_quantization(sol):
     """Quadrature of the curvature over the unit sphere.
 
-    Gauss-Legendre nodes in cos(polar) x uniform azimuth; the analytic
+    32 Gauss-Legendre nodes in cos(polar) x 64 uniform azimuths; the analytic
     value is -2 pi v.  Membership is tested for both signs of flux / 2 pi
     (the orientation of the sphere is a convention) against Z^{2n}.
     """
-    u, wu = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
-    wphi = 2 * np.pi / n_azimuth
+    u, wu = np.polynomial.legendre.leggauss(32)
+    phi = 2 * np.pi * np.arange(64) / 64
+    wphi = 2 * np.pi / 64
     U, PHI = np.meshgrid(u, phi, indexing="ij")
     s = np.sqrt(np.maximum(1 - U**2, 0.0))
     pts = np.stack([s * np.cos(PHI), s * np.sin(PHI), U], axis=-1)
@@ -184,10 +184,10 @@ def flux_quantization(sol, n_polar=32, n_azimuth=64, tol=1e-8):
     if not np.all(np.isfinite(flux)):
         raise QuadratureFailure("non-finite quadrature result")
     normalized = flux / (2 * np.pi)
-    member = bool(np.max(np.abs(normalized - np.round(normalized))) < tol)
-    if np.max(np.abs(normalized + sol.v)) < tol:
+    member = bool(np.max(np.abs(normalized - np.round(normalized))) < 1e-8)
+    if np.max(np.abs(normalized + sol.v)) < 1e-8:
         realized = -1
-    elif np.max(np.abs(normalized - sol.v)) < tol:
+    elif np.max(np.abs(normalized - sol.v)) < 1e-8:
         realized = 1
     else:
         realized = 0
@@ -195,13 +195,13 @@ def flux_quantization(sol, n_polar=32, n_azimuth=64, tol=1e-8):
                       realized_sign=realized, chern=0.5 * sol.v)
 
 
-def default_far_grid(spacing=0.01, nodes=9, offset=2.0):
+def default_far_grid(spacing=0.01, nodes=9):
     """Small Euclidean grid well away from the puncture at the origin."""
     return reduction3d.Grid3(shape=(nodes,) * 3, spacing=(spacing,) * 3,
-                             origin=(offset,) * 3)
+                             origin=(2.0,) * 3)
 
 
-def electrodynamics_dyon(theta, g_sq, q_e, q_m, type_t=1, grid=None):
+def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):
     """The n = 1 dyon of theta-coupled electrodynamics.
 
     Builds the charge-(q_e, q_m) radial solution for the constant
@@ -215,7 +215,7 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, type_t=1, grid=None):
     v = np.array([float(q_e), float(q_m)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerVWarning)
-        sol = dyon_construct(J, v, np.zeros(2), type_ctx=(int(type_t),))
+        sol = dyon_construct(J, v, np.zeros(2))
     if grid is None:
         grid = default_far_grid()
 
@@ -255,7 +255,7 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, type_t=1, grid=None):
     }
 
 
-def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq, tol=1e-5):
+def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq):
     """Fiber characterization of the electrodynamics correspondence.
 
     True iff (E, B) passes the static Maxwell residuals and grad psi with
@@ -271,18 +271,18 @@ def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq, tol=1e-5)
             or E_vec.shape[:3] != Phi.shape[:3] or E_vec.shape[:3] != grid.shape:
         raise SampleMismatch("fields must share the grid sample set")
 
-    h = grid.metric
-    grad_phi = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Phi))
-    grad_ups = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Upsilon))
+    # one sharp and one divergence call: one inverse and one det of the metric
+    grad_phi, grad_ups = reduction3d.sharp(grid.metric, np.stack(
+        [reduction3d.grad_nodes(grid, Phi), reduction3d.grad_nodes(grid, Upsilon)]))
     res_e = grad_phi + E_vec                     # grad(-Phi) = E
     res_u = grad_ups + (theta / (2 * np.pi)) * E_vec + (4 * np.pi / g_sq) * B_vec
-    div_e = reduction3d.divergence(grid, E_vec)
-    div_b = reduction3d.divergence(grid, B_vec)
+    div = reduction3d.divergence(grid, np.stack([E_vec, B_vec], axis=-2))
+    div_e, div_b = div[..., 0], div[..., 1]
     report = {
         "electric_gradient": reduction3d._interior_max(res_e),
         "magnetoelectric_gradient": reduction3d._interior_max(res_u),
         "div_E": reduction3d._interior_max(div_e),
         "div_B": reduction3d._interior_max(div_b),
     }
-    ok = all(val < tol for val in report.values())
+    ok = all(val < 1e-5 for val in report.values())
     return ok, report

@@ -14,17 +14,17 @@ from . import dyons, exactmat as xm, forms4d, monodromy, reduction3d
 from . import siegel, symplattice as sl, taming
 
 
-def _random_gram(rng, n, bound=20):
+def _random_gram(rng, n):
     while True:
-        A = [[rng.randint(-bound, bound) for _ in range(2 * n)] for _ in range(2 * n)]
+        A = [[rng.randint(-20, 20) for _ in range(2 * n)] for _ in range(2 * n)]
         G = xm.sub(A, xm.transpose(A))
         if xm.det(G) != 0:
             return G
 
 
-def _random_unimodular(rng, m, ops=8):
+def _random_unimodular(rng, m):
     U = xm.identity(m)
-    for _ in range(ops):
+    for _ in range(8):
         i, j = rng.sample(range(m), 2)
         c = rng.randint(-2, 2)
         for row in U:
@@ -32,18 +32,18 @@ def _random_unimodular(rng, m, ops=8):
     return U
 
 
-def _random_chain(rng, n, max_factor=4):
-    t = [rng.randint(1, max_factor)]
+def _random_chain(rng, n):
+    t = [rng.randint(1, 4)]
     for _ in range(n - 1):
-        t.append(t[-1] * rng.randint(1, max_factor))
+        t.append(t[-1] * rng.randint(1, 4))
     return tuple(t)
 
 
-def suite_symplattice(seed, cases=40):
+def suite_symplattice(seed):
     rng = random.Random(seed)
     results = {}
     ok_nf, ok_inv = True, True
-    for _ in range(cases):
+    for _ in range(40):
         n = rng.choice([1, 2, 3])
         G = _random_gram(rng, n)
         res = sl.symplectic_normal_form(G)
@@ -55,7 +55,7 @@ def suite_symplattice(seed, cases=40):
     results["normal_form_exact"] = ok_nf
     results["type_conjugation_invariant"] = ok_inv
     ok_lat = True
-    for _ in range(cases):
+    for _ in range(40):
         n = rng.randint(1, 5)
         t, t2 = _random_chain(rng, n), _random_chain(rng, n)
         meet, join = sl.type_meet_join(t, t2)
@@ -69,11 +69,11 @@ def suite_symplattice(seed, cases=40):
     return results
 
 
-def suite_siegel(seed, cases=40):
+def suite_siegel(seed):
     rng = random.Random(seed)
     results = {}
     ok_closure = True
-    for _ in range(cases):
+    for _ in range(40):
         t = rng.choice([(1,), (2,), (1, 2), (2, 4)])
         a = siegel.random_member(t, rng)
         b = siegel.random_member(t, rng)
@@ -81,7 +81,7 @@ def suite_siegel(seed, cases=40):
         ok_closure &= siegel.is_member(a.inverse().rows(), t)
     results["membership_closure"] = ok_closure
     ok_aff = True
-    for _ in range(cases):
+    for _ in range(40):
         t = (rng.randint(1, 3),)
         gs = []
         for _ in range(3):
@@ -99,10 +99,10 @@ def suite_siegel(seed, cases=40):
     return results
 
 
-def suite_taming(seed, cases=50):
+def suite_taming(seed):
     rng = np.random.default_rng(seed)
     ok_round, ok_inv, ok_act = True, True, True
-    for _ in range(cases):
+    for _ in range(50):
         n = int(rng.integers(1, 5))
         N = taming.random_period_matrix(n, rng)
         J = taming.theta_forward(N)
@@ -116,10 +116,10 @@ def suite_taming(seed, cases=50):
             "conjugation_preserves_taming": ok_act}
 
 
-def suite_forms4d(seed, cases=50):
+def suite_forms4d(seed):
     rng = np.random.default_rng(seed)
     ok_star, ok_pol, ok_lemma, ok_equiv = True, True, True, True
-    for _ in range(cases):
+    for _ in range(50):
         p = forms4d.random_metric(rng)
         n = int(rng.integers(1, 3))
         F = forms4d.random_two_form(rng, n)
@@ -140,10 +140,10 @@ def suite_forms4d(seed, cases=50):
             "twisted_selfdual_lemma": ok_lemma, "duality_equivariance": ok_equiv}
 
 
-def suite_reduction3d(seed, cases=50):
+def suite_reduction3d(seed):
     rng = np.random.default_rng(seed)
     ok_dec, ok_star = True, True
-    for _ in range(cases):
+    for _ in range(50):
         A = rng.standard_normal((3, 3)) * 0.4
         h = np.eye(3) + A @ A.T
         g = np.zeros((4, 4))
@@ -166,10 +166,10 @@ def suite_reduction3d(seed, cases=50):
             "dyon_4d_lift": lift["residual"] < 1e-6}
 
 
-def suite_dyons(seed, cases=10):
+def suite_dyons(seed):
     rng = np.random.default_rng(seed)
     ok_verify, ok_flux = True, True
-    for _ in range(cases):
+    for _ in range(10):
         n = int(rng.integers(1, 3))
         N = taming.random_period_matrix(n, rng)
         J = taming.theta_forward(N)
@@ -188,11 +188,11 @@ def suite_dyons(seed, cases=10):
             "electrodynamics_maxwell": ok_ed, "h_theta_fiber": ok_fiber}
 
 
-def suite_monodromy(seed, cases=20):
+def suite_monodromy(seed):
     rng = random.Random(seed)
     ok_conj, ok_dirac = True, True
     pres = monodromy.Presentation.make(2, [(1, 2, -1, -2)])
-    for _ in range(cases):
+    for _ in range(20):
         t = (1,)
         a = siegel.random_member(t, rng, word_length=3)
         rep = monodromy.Representation((a, a), t)
@@ -216,7 +216,7 @@ SUITES = {
 }
 
 
-def run(scope="all", seed=0):
+def run(scope, seed):
     names = list(SUITES) if scope == "all" else [scope]
     report = {}
     passed = True

@@ -54,28 +54,23 @@ class PeriodMatrix:
         return self.R.shape[0]
 
 
-def _spd(M, tol=ALG_TOL):
-    M = 0.5 * (M + M.T)
-    try:
-        np.linalg.cholesky(M + tol * np.eye(len(M)))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def is_taming(J, gram=None, tol=ALG_TOL):
+def is_taming(J, tol=ALG_TOL):
     """Check the three taming invariants; returns (ok, report)."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
         raise ValueError("J must be square of even dimension")
     n = J.shape[0] // 2
-    W = np.asarray(sl.standard_gram(sl.delta(n)) if gram is None else gram, dtype=float)
+    W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
     report = {}
     report["square_residual"] = float(np.max(np.abs(J @ J + np.eye(2 * n))))
     report["compat_residual"] = float(np.max(np.abs(J.T @ W @ J - W)))
     Q = J.T @ W
     report["q_symmetric_residual"] = float(np.max(np.abs(Q - Q.T)))
-    report["q_positive"] = _spd(Q, tol)
+    try:
+        np.linalg.cholesky(0.5 * (Q + Q.T) + tol * np.eye(2 * n))
+        report["q_positive"] = True
+    except np.linalg.LinAlgError:
+        report["q_positive"] = False
     ok = (report["square_residual"] < tol
           and report["compat_residual"] < tol
           and report["q_symmetric_residual"] < 10 * tol
@@ -100,10 +95,10 @@ def theta_forward(N):
     return np.vstack([top, bot])
 
 
-def theta_inverse(J, tol=ALG_TOL):
+def theta_inverse(J):
     """Period matrix of a taming: I = J12^-1, R = J12^-1 J11."""
     J = np.asarray(J, dtype=float)
-    ok, report = is_taming(J, tol=tol)
+    ok, report = is_taming(J)
     if not ok:
         raise NotATaming(f"taming invariants fail: {report}")
     n = J.shape[0] // 2
@@ -117,18 +112,17 @@ def theta_inverse(J, tol=ALG_TOL):
     return PeriodMatrix(0.5 * (R + R.T), 0.5 * (I + I.T))
 
 
-def is_symplectic(g, tol=ALG_TOL, gram=None):
+def is_symplectic(g):
     g = np.asarray(g, dtype=float)
-    n = g.shape[0] // 2
-    W = np.asarray(sl.standard_gram(sl.delta(n)) if gram is None else gram, dtype=float)
-    return np.max(np.abs(g.T @ W @ g - W)) < tol
+    W = np.asarray(sl.standard_gram(sl.delta(g.shape[0] // 2)), dtype=float)
+    return np.max(np.abs(g.T @ W @ g - W)) < ALG_TOL
 
 
-def taming_conjugate(J, g, tol=ALG_TOL):
+def taming_conjugate(J, g):
     """Duality conjugation g J g^-1; preserves the taming property."""
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
-    if not is_symplectic(g, tol=max(tol, 1e-10)):
+    if not is_symplectic(g):
         raise NotSymplectic("conjugator is not symplectic")
     return g @ J @ np.linalg.inv(g)
 
@@ -141,9 +135,10 @@ def electrodynamics_taming(theta, g_sq):
     if g_sq <= 0:
         raise ValueError("coupling g^2 must be positive")
     pi = np.pi
+    # theta * theta overflows to inf, which no taming check passes; theta**2 raises
     return np.array([
         [g_sq * theta / (8 * pi**2), g_sq / (4 * pi)],
-        [-4 * pi / g_sq - g_sq * theta**2 / (16 * pi**3),
+        [-4 * pi / g_sq - g_sq * (theta * theta) / (16 * pi**3),
          -g_sq * theta / (8 * pi**2)],
     ])
 
@@ -155,21 +150,21 @@ def electrodynamics_period(theta, g_sq):
                         np.array([[4 * np.pi / g_sq]]))
 
 
-def random_period_matrix(n, rng, spread=1.0):
+def random_period_matrix(n, rng):
     """Well-conditioned random period matrix for property sweeps."""
     A = rng.standard_normal((n, n))
-    R = spread * 0.5 * (A + A.T)
+    R = 0.5 * (A + A.T)
     B = rng.standard_normal((n, n)) * 0.3
     I = np.eye(n) + B @ B.T
     return PeriodMatrix(R, I)
 
 
-def random_symplectic(n, rng, scale=0.4):
+def random_symplectic(n, rng):
     """Random element of Sp(2n, R) near the identity (exp of a Lie algebra
     element), kept well-conditioned for tolerance-based tests."""
     from scipy.linalg import expm
 
     W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
     S = rng.standard_normal((2 * n, 2 * n))
-    S = 0.5 * (S + S.T) * scale
+    S = 0.5 * (S + S.T) * 0.4
     return expm(W @ S)

@@ -12,10 +12,19 @@ import sympforge
 from sympforge import cli, dyons, forms4d, reduction3d, serialize, taming
 
 
+def _not_json(constant):
+    raise ValueError(f"stdout holds {constant}, which is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 def write(tmp_path, name, payload):
@@ -320,8 +329,33 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.out)["status"] == "invalid_input"
+    assert strict_loads(captured.out)["status"] == "invalid_input"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["edyn", "build", "--theta", "1e200"],
+    ["dyon", "build", "--v", "0,1", "--J", "edyn:1e200,1"],
+    ["edyn", "build", "--qe", "1" + "0" * 400],
+    ["dyon", "build", "--v", "1e308,1e308"],
+    ["dyon", "build", "--v", "1e200,1e200", "--J", "edyn:0,1e150"],
+], ids=["theta_squared_overflows", "edyn_spec_theta_overflows", "charge_beyond_float",
+        "flux_overflows", "report_not_finite"])
+def test_overflowing_argv_exits_two_with_one_report(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1  # the invalid_input report and nothing before it
+    assert strict_loads(captured.out)["status"] == "invalid_input"
+    assert "Traceback" not in captured.err
+
+
+def test_manifest_records_the_argv_main_parsed(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["host", "--host-flag"])
+    argv = ["edyn", "build", "--qm", "1"]
+    code, report = run(capsys, argv)
+    assert code == 0
+    assert report["manifest"]["command"] == argv
 
 
 def test_dyon_build_records_digest_of_taming_file(tmp_path, capsys):
@@ -376,6 +410,12 @@ try:
 except RuntimeError:
     print("raised")
 """
+
+
+def test_child_process_manifest_records_its_argv():
+    proc = run_python("-m", "sympforge.cli", "edyn", "build", "--qm", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert strict_loads(proc.stdout)["manifest"]["command"] == ["edyn", "build", "--qm", "1"]
 
 
 def test_selfdual_postcondition_checked_under_optimize():

@@ -2,7 +2,10 @@
 
 Every subcommand that reads JSON is driven in process on its valid input,
 on that input with one or two subtrees replaced or deleted, and on arbitrary
-JSON.  Exit 0 must come with status ok, exit 2 with status invalid_input,
+JSON; every numeric argv value (tolerances, couplings, charges, bounds,
+types) is driven on arbitrary and extreme strings.  stdout must be strict
+JSON (no NaN or Infinity).  Exit 0 must come with status ok, exit 2 with
+status invalid_input (or usage_error for an argv value argparse refuses),
 exit 1 only with a verified-false field or status not_found, and no
 exception may leave cli.main (in a fresh interpreter it would be a
 traceback with exit 1).
@@ -22,6 +25,7 @@ from sympforge import cli
 EXAMPLES_PER_SUBCOMMAND = 40
 
 LORENTZ = np.diag([-1.0, 1.0, 1.0, 1.0]).tolist()
+TWO_FORM = (np.eye(4, k=1) - np.eye(4, k=-1))[None].tolist()  # antisymmetric, rank 1
 STD_J = [[0.0, 1.0], [-1.0, 0.0]]
 AFF = {"a": [["1", "2"], ["0", "1"]], "gamma": [["1", "1"], ["0", "1"]], "type": [1]}
 
@@ -41,7 +45,7 @@ CASES = {
                         "V": {"rank": 2, "coeffs": np.zeros((2, 4, 4)).tolist()}}, []),
     "reduce astdec-check": (["reduce", "astdec-check"], "--in",
                             {"metric": LORENTZ, "orientation": 1,
-                             "omega": {"rank": 1, "coeffs": np.eye(4, k=1)[None].tolist()}}, []),
+                             "omega": {"rank": 1, "coeffs": TWO_FORM}}, []),
     "bogomolny residual": (["bogomolny", "residual"], "--in",
                            {"shape": [3, 3, 3], "spacing": [0.1] * 3, "origin": [1.0] * 3,
                             "J": STD_J, "fields": {
@@ -116,6 +120,34 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _not_json(constant):
+    raise ValueError(f"stdout holds {constant}, which is not JSON")
+
+
+def check_contract(code, out, err, exit_two=("invalid_input",)):
+    """The report on stdout, parsed strictly, against the exit code."""
+    report = json.loads(out, parse_constant=_not_json)
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert report["status"] == "ok"
+    elif code == 2:
+        assert report["status"] in exit_two
+    else:
+        conjugacy_not_found = "certificate" in report and "conjugator" not in report
+        assert report["status"] == "not_found" or conjugacy_not_found \
+            or any(report.get(key) is False for key in VERIFIED_FALSE), report
+    return report
+
+
+def write_valid(name, tmp_path):
+    """argv of CASES[name] on its valid input, written under tmp_path."""
+    head, flag, valid, tail = CASES[name]
+    path = tmp_path / (name.replace(" ", "_") + ".json")
+    path.write_text(json.dumps(valid))
+    return head + [flag, str(path)] + tail
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_contract_holds_on_fuzzed_json(name, tmp_path):
     head, flag, valid, tail = CASES[name]
@@ -126,17 +158,71 @@ def test_cli_contract_holds_on_fuzzed_json(name, tmp_path):
     @given(st.one_of(st.just(valid), mutated(valid), JSON))
     def check(payload):
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli(head + [flag, str(path)] + tail)
-        report = json.loads(out)
-        assert "Traceback" not in err
-        assert code in (0, 1, 2)
-        if code == 0:
-            assert report["status"] == "ok"
-        elif code == 2:
-            assert report["status"] == "invalid_input"
-        else:
-            conjugacy_not_found = "certificate" in report and "conjugator" not in report
-            assert report["status"] == "not_found" or conjugacy_not_found \
-                or any(report.get(key) is False for key in VERIFIED_FALSE), report
+        check_contract(*run_cli(head + [flag, str(path)] + tail))
 
     check()
+
+
+# argv values: named extremes, then arbitrary floats, integers and number-like text
+EXTREMES = ["nan", "inf", "-inf", "-1", "0", "-0", "1e-320", "1e-300", "1e154", "1e200",
+            "-1e200", "1e308", "1e400", "1" + "0" * 400, "0.5", "", "x", "1,2"]
+TEXT = st.text("0123456789.,-+einfatx ", max_size=6)
+NUMBER = st.one_of(st.sampled_from(EXTREMES), st.floats().map(repr),
+                   st.integers().map(str), TEXT)
+VECTOR = st.lists(NUMBER, min_size=1, max_size=4).map(",".join)
+# a bound between 4 and 20 is a valid search that takes seconds: its time is
+# the conjugacy search's, not the contract's
+BOUND = st.one_of(st.sampled_from(EXTREMES), st.integers(max_value=3).map(str),
+                  st.integers(min_value=21).map(str), TEXT)
+
+# slot: (CASES entry or plain argv, flag or environment variable, values);
+# a flag goes in as flag=value after the entry's argv, --tol before it
+ARGV_SLOTS = {
+    "--tol taming check": ("taming check", "--tol", NUMBER),
+    "--tol selfdual check": ("selfdual check", "--tol", NUMBER),
+    "SYMPFORGE_TOL reduce astdec-check": ("reduce astdec-check", "SYMPFORGE_TOL", NUMBER),
+    "--threshold": ("bogomolny residual", "--threshold", NUMBER),
+    "--theta": ("edyn build", "--theta", NUMBER),
+    "--gsq": ("edyn build", "--gsq", NUMBER),
+    "--qe": ("edyn build", "--qe", NUMBER),
+    "--J edyn:": ("dyon build", "--J",
+                  st.tuples(NUMBER, NUMBER).map(",".join).map("edyn:".__add__)),
+    "--v": ("dyon build", "--v", VECTOR),
+    "--vprime": ("dyon build", "--vprime", VECTOR),
+    "--type dyon build": ("dyon build", "--type", VECTOR),
+    "--type group check": ("group check", "--type", VECTOR),
+    "--bound": ("monodromy conjugacy", "--bound", BOUND),
+}
+
+
+def with_value(argv, flag, value, monkeypatch):
+    if flag == "SYMPFORGE_TOL":
+        monkeypatch.setenv(flag, value)
+        return argv
+    return [f"{flag}={value}"] + argv if flag == "--tol" else argv + [f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("slot", sorted(ARGV_SLOTS))
+def test_cli_contract_holds_on_fuzzed_argv(slot, tmp_path, monkeypatch):
+    case, flag, values = ARGV_SLOTS[slot]
+    argv = write_valid(case, tmp_path) if case in CASES else case.split()
+
+    @settings(max_examples=EXAMPLES_PER_SUBCOMMAND, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values)
+    def check(value):
+        check_contract(*run_cli(with_value(argv, flag, value, monkeypatch)),
+                       exit_two=("invalid_input", "usage_error"))
+
+    check()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("case, flag", [
+    ("taming check", "--tol"), ("selfdual check", "--tol"), ("reduce astdec-check", "--tol"),
+    ("taming check", "SYMPFORGE_TOL"), ("selfdual check", "SYMPFORGE_TOL"),
+    ("bogomolny residual", "--threshold")])
+def test_tolerance_must_be_finite_and_non_negative(case, flag, value, tmp_path, monkeypatch):
+    code, out, err = run_cli(with_value(write_valid(case, tmp_path), flag, value, monkeypatch))
+    assert code == 2
+    assert check_contract(code, out, err)["status"] == "invalid_input"
