@@ -325,7 +325,9 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
+    ap.set_defaults(argv=argv)  # recorded in the manifest
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -334,7 +336,6 @@ def main(argv=None):
             sys.stdout.write("\n")
             return 2
         return 0
-    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         tol = args.tol if args.tol is not None else default_tol()
         for name, value in (("tolerance", tol), ("--threshold", getattr(args, "threshold", 0.0))):

@@ -271,13 +271,13 @@ def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq):
             or E_vec.shape[:3] != Phi.shape[:3] or E_vec.shape[:3] != grid.shape:
         raise SampleMismatch("fields must share the grid sample set")
 
-    # one sharp and one divergence call: one inverse and one det of the metric
-    grad_phi, grad_ups = reduction3d.sharp(grid.metric, np.stack(
-        [reduction3d.grad_nodes(grid, Phi), reduction3d.grad_nodes(grid, Upsilon)]))
+    h = grid.metric
+    grad_phi = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Phi))
+    grad_ups = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Upsilon))
     res_e = grad_phi + E_vec                     # grad(-Phi) = E
     res_u = grad_ups + (theta / (2 * np.pi)) * E_vec + (4 * np.pi / g_sq) * B_vec
-    div = reduction3d.divergence(grid, np.stack([E_vec, B_vec], axis=-2))
-    div_e, div_b = div[..., 0], div[..., 1]
+    div_e = reduction3d.divergence(grid, E_vec)
+    div_b = reduction3d.divergence(grid, B_vec)
     report = {
         "electric_gradient": reduction3d._interior_max(res_e),
         "magnetoelectric_gradient": reduction3d._interior_max(res_u),

@@ -233,19 +233,18 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
         E = E[..., None, :]
         B = B[..., None, :, :]
 
-    # one sharp and one divergence call: one inverse and one det of the metric;
-    # stacked on a leading axis, each raised field comes back contiguous
-    Evec, Bvec, grad_phi_vec, grad_ups_vec = sharp(grid.metric[..., None, :, :], np.stack(
-        [E, forms4d.hodge_star(grid.metric, B, 2), grad_nodes(grid, Phi),
-         grad_nodes(grid, Upsilon)]))
+    h = grid.metric[..., None, :, :]
+    Evec = sharp(h, E)
+    Bvec = sharp(h, forms4d.hodge_star(grid.metric, B, 2))
+    grad_phi_vec = sharp(h, grad_nodes(grid, Phi))
+    grad_ups_vec = sharp(h, grad_nodes(grid, Upsilon))
 
     res1 = Evec + grad_phi_vec
     res2 = (np.einsum("jk,...ka->...ja", I, Bvec)
             + np.einsum("jk,...ka->...ja", R, Evec) + grad_ups_vec)
-    div = divergence(grid, np.stack(
-        [Bvec, np.einsum("jk,...ka->...ja", R, Bvec) + np.einsum("jk,...ka->...ja", I, Evec)],
-        axis=-2))
-    res3, res4 = div[..., 0], div[..., 1]
+    res3 = divergence(grid, Bvec)
+    res4 = divergence(grid, np.einsum("jk,...ka->...ja", R, Bvec)
+                      + np.einsum("jk,...ka->...ja", I, Evec))
     return {
         "electric_potential": _interior_max(res1),
         "magnetic_potential": _interior_max(res2),

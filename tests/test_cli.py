@@ -10,15 +10,7 @@ import pytest
 
 import sympforge
 from sympforge import cli, dyons, forms4d, reduction3d, serialize, taming
-
-
-def _not_json(constant):
-    raise ValueError(f"stdout holds {constant}, which is not JSON")
-
-
-def strict_loads(text):
-    """json.loads that refuses NaN and Infinity, which are not JSON."""
-    return json.loads(text, parse_constant=_not_json)
+from strictjson import strict_loads
 
 
 def run(capsys, argv):

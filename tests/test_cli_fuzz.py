@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sympforge import cli
+from strictjson import strict_loads
 
 EXAMPLES_PER_SUBCOMMAND = 40
 
@@ -120,13 +121,9 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _not_json(constant):
-    raise ValueError(f"stdout holds {constant}, which is not JSON")
-
-
 def check_contract(code, out, err, exit_two=("invalid_input",)):
     """The report on stdout, parsed strictly, against the exit code."""
-    report = json.loads(out, parse_constant=_not_json)
+    report = strict_loads(out)
     assert "Traceback" not in err
     assert code in (0, 1, 2)
     if code == 0:
