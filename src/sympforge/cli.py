@@ -20,16 +20,13 @@ from . import __version__, dyons, forms4d, monodromy
 from . import reduction3d, selftest, serialize, siegel, symplattice as sl, taming
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
-# every exception that means "invalid input": exit 2, status invalid_input
-# (json.JSONDecodeError and the library's input errors are ValueErrors; a
-# conjugacy search over its budget asks for a lower --bound, a charge whose
-# flux overflows for a smaller one)
-INVALID_INPUT = (UsageError, ValueError, KeyError,
-                 monodromy.BoundTooLargeForBudget, dyons.QuadratureFailure)
+# every exception that means "invalid input", exit 2 with status invalid_input:
+# the library's input errors and json.JSONDecodeError are all ValueErrors
+INVALID_INPUT = (ValueError, KeyError)
 
 
 def default_tol():

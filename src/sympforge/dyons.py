@@ -19,7 +19,7 @@ class NonPositiveRadius(ValueError):
     pass
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(ValueError):
     pass
 
 

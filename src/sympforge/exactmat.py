@@ -1,8 +1,8 @@
 """Small exact-arithmetic matrix kit (Python ints and fractions.Fraction).
 
 Matrices are plain lists of row lists.  Everything here is exact: no
-floating point enters, so equality checks are meaningful.  det is
-fraction-free (Bareiss); only inverse eliminates over the rationals.
+floating point enters, so equality checks are meaningful.  det is fraction-free
+(Bareiss) and echelon uses unimodular integer row operations only.
 """
 
 from fractions import Fraction
@@ -103,24 +103,19 @@ def det(A):
     return Fraction(sign * prev, L ** n)
 
 
-def inverse(A):
-    """Exact inverse over the rationals.  Raises ValueError if singular."""
-    n = len(A)
-    M = to_fraction(A)
-    Inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            Inv[col], Inv[pivot] = Inv[pivot], Inv[col]
-        p = M[col][col]
-        M[col] = [x / p for x in M[col]]
-        Inv[col] = [x / p for x in Inv[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-                Inv[r] = [x - f * y for x, y in zip(Inv[r], Inv[col])]
-    return Inv
+def echelon(rows):
+    """Integer row echelon form by unimodular row operations, Euclid down each column:
+    the nonzero rows, leading columns strictly increasing, leading entries positive."""
+    rows, out = [list(r) for r in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        while live := [r for r in rows if r[col]]:
+            p = min(live, key=lambda r: abs(r[col]))
+            if len(live) == 1:
+                rows.remove(p)
+                out.append(p if p[col] > 0 else [-x for x in p])
+                break
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+    return out

@@ -1,7 +1,8 @@
 """Verification of monodromy representations into the modified Siegel
 groups: relator checking, Dirac-system witnesses, and bounded conjugacy
-search.  Everything is exact integer/rational arithmetic; the conjugacy
-search is sound but only complete within its entry bound.
+search over the integer lattice of intertwiners.  Everything is exact
+integer/rational arithmetic; the conjugacy search is sound but only complete
+within its entry bound.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ class DegenerateLattice(ValueError):
     pass
 
 
-class BoundTooLargeForBudget(RuntimeError):
+class BoundTooLargeForBudget(ValueError):
     pass
 
 
@@ -93,11 +94,13 @@ def verify_dirac_system(images, lattice_basis):
     m = len(L)
     if m % 2 or not xm.is_square(L):
         raise ValueError("lattice basis must be square of even dimension")
-    if xm.det(L) == 0:
+    if (d := xm.det(L)) == 0:
         raise DegenerateLattice("lattice basis is singular")
     n = m // 2
     W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
-    Linv = xm.inverse(L)
+    # L^-1 = adj(L) / det L, the adjugate from the cofactors
+    minor = lambda i, j: [r[:j] + r[j + 1:] for k, r in enumerate(L) if k != i]
+    Linv = [[(-1) ** (i + j) * xm.det(minor(j, i)) / d for j in range(m)] for i in range(m)]
     for T in images:
         T = xm.to_fraction(T)
         if len(T) != m or not xm.is_square(T):
@@ -105,10 +108,8 @@ def verify_dirac_system(images, lattice_basis):
         if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
             raise sl.NotSymplectic("image is not symplectic for the standard form")
         C = xm.matmul(Linv, xm.matmul(T, L))
+        # det C = det T = 1, so an integral C has an integral inverse
         if not xm.is_integral(C):
-            return False, None
-        # det C = det T = 1, so the inverse is integral too; assert anyway
-        if not xm.is_integral(xm.inverse(C)):
             return False, None
     G = xm.matmul(xm.transpose(L), xm.matmul(W, L))
     if not xm.is_integral(G):
@@ -117,13 +118,17 @@ def verify_dirac_system(images, lattice_basis):
 
 
 def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
-    """Exhaustive conjugator search over members with bounded entries.
+    """Conjugator search among members with entries in [-entry_bound, entry_bound].
 
-    Returns (gamma, certificate).  gamma is the first conjugator found in
-    lexicographic candidate order, or None; a None with certificate
-    "trace mismatch" is decisive, otherwise None only means not-found
-    within the bound.  If the whole candidate set, (2 * entry_bound + 1)^(dim^2)
-    matrices, exceeds the budget, BoundTooLargeForBudget is raised up front.
+    Members are invertible, so gamma a gamma^-1 = b is gamma a = b gamma, which is
+    linear in gamma.  In the echelon form of one row per gamma_ij, its coefficients
+    in every equation and then the unit vector, the rows with a zero equation
+    part are an echelon basis of the intertwiners.
+    Candidates fix the entries at their leading columns in lexicographic order,
+    the order of the flattened entries.  Returns (gamma, certificate): the first
+    member found, or None, which is decisive with "trace mismatch" and otherwise
+    means not found within the bound.  Raises BoundTooLargeForBudget before any
+    candidate if the (2 * entry_bound + 1)^rank candidates exceed the budget.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
@@ -134,17 +139,28 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
         if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
            sum(b.matrix[i][i] for i in range(len(b.matrix))):
             return None, "trace mismatch"
-    dim = len(rep1.images[0].matrix)
-    count = (2 * entry_bound + 1) ** (dim * dim)
+    dim = 2 * len(rep1.type_ctx)
+    cells = [(i, j) for i in range(dim) for j in range(dim)]
+    pairs = [(a.matrix, b.matrix) for a, b in zip(rep1.images, rep2.images)]
+    # the coefficient of gamma_ij in (gamma a - b gamma)_kl
+    rows = [[(a[j][l] if i == k else 0) - (b[k][i] if j == l else 0)
+             for a, b in pairs for k, l in cells] + [int(c == (i, j)) for c in cells]
+            for i, j in cells]
+    basis = [r[-len(cells):] for r in xm.echelon(rows) if not any(r[:-len(cells)])]
+    count = (2 * entry_bound + 1) ** len(basis)
     if count > budget:
         raise BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
                                      "lower the bound")
-    pairs = [(a.rows(), b.rows()) for a, b in zip(rep1.images, rep2.images)]
-    vals = range(-entry_bound, entry_bound + 1)
-    for entries in product(vals, repeat=dim * dim):
-        gamma = [list(entries[i * dim:(i + 1) * dim]) for i in range(dim)]
-        # gamma a gamma^-1 = b  <=>  gamma a = b gamma, as members are invertible
-        if siegel.is_member(gamma, rep1.type_ctx) and \
-           all(xm.matmul(gamma, a) == xm.matmul(b, gamma) for a, b in pairs):
-            return gamma, "found"
+    leads = [next(c for c, x in enumerate(r) if x) for r in basis]
+    for values in product(range(-entry_bound, entry_bound + 1), repeat=len(basis)):
+        point = [0] * (dim * dim)
+        for r, lead, v in zip(basis, leads, values):
+            c, rem = divmod(v - point[lead], r[lead])
+            if rem:
+                break
+            point = [x + c * y for x, y in zip(point, r)]
+        else:
+            gamma = [point[i * dim:(i + 1) * dim] for i in range(dim)]
+            if max(map(abs, point)) <= entry_bound and siegel.is_member(gamma, rep1.type_ctx):
+                return gamma, "found"
     return None, "not found within bound"

@@ -215,41 +215,31 @@ def generators(t):
     n = len(t)
     gens = []
     for i in range(n):
-        # upper unipotent with D_t B symmetric
+        # the upper and lower unipotents of E_ii
         B = xm.zeros(n, n)
         B[i][i] = 1
-        gens.append(_embed_upper(B, t))
-        C = xm.zeros(n, n)
-        C[i][i] = 1
-        gens.append(_embed_lower(C, t))
+        gens += [_embed(B, t, True), _embed(B, t, False)]
     for i in range(n):
         for j in range(i + 1, n):
             g = gcd(t[i], t[j])
             B = xm.zeros(n, n)
             B[i][j] = t[j] // g
             B[j][i] = t[i] // g
-            gens.append(_embed_upper(B, t))
+            gens.append(_embed(B, t, True))
     # the symplectic reflection e_i -> -f_i-ish block rotation, principal only
     if all(x == t[0] for x in t):
         gens.append(SiegelElement.make(sl.standard_gram(sl.delta(n)), t))
     return gens
 
 
-def _embed_upper(B, t):
-    n = len(B)
+def _embed(M, t, upper):
+    """The unipotent [[I, M], [0, I]] if upper, else [[I, 0], [M, I]]."""
+    n = len(M)
+    r, c = (0, n) if upper else (n, 0)
     S = xm.identity(2 * n)
     for i in range(n):
         for j in range(n):
-            S[i][n + j] = B[i][j]
-    return SiegelElement.make(S, t)
-
-
-def _embed_lower(C, t):
-    n = len(C)
-    S = xm.identity(2 * n)
-    for i in range(n):
-        for j in range(n):
-            S[n + i][j] = C[i][j]
+            S[r + i][c + j] = M[i][j]
     return SiegelElement.make(S, t)
 
 

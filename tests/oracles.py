@@ -1,0 +1,67 @@
+"""Brute-force oracles that the library's closed forms and lattice methods
+replaced: Gauss-Jordan inversion over the rationals and the conjugator
+search over the whole entry box."""
+
+from fractions import Fraction
+from itertools import product
+
+from sympforge import exactmat as xm
+from sympforge import monodromy, siegel
+
+
+def inverse(A):
+    """Exact inverse by Gauss-Jordan over the rationals.  Raises ValueError if singular."""
+    n = len(A)
+    M = xm.to_fraction(A)
+    Inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            Inv[col], Inv[pivot] = Inv[pivot], Inv[col]
+        p = M[col][col]
+        M[col] = [x / p for x in M[col]]
+        Inv[col] = [x / p for x in Inv[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+                Inv[r] = [x - f * y for x, y in zip(Inv[r], Inv[col])]
+    return Inv
+
+
+def box_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):
+    """monodromy.conjugacy_test_bounded by trying every integer matrix in
+    the entry box, (2 * entry_bound + 1)^(dim^2) candidates in lexicographic
+    order of the flattened entries; the budget counts the whole box."""
+    if entry_bound < 0:
+        raise ValueError("entry bound must be non-negative")
+    if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
+        raise monodromy.ShapeMismatch("representations are not comparable")
+    for a, b in zip(rep1.images, rep2.images):
+        if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
+           sum(b.matrix[i][i] for i in range(len(b.matrix))):
+            return None, "trace mismatch"
+    dim = len(rep1.images[0].matrix)
+    count = (2 * entry_bound + 1) ** (dim * dim)
+    if count > budget:
+        raise monodromy.BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
+                                               "lower the bound")
+    pairs = [(a.rows(), b.rows()) for a, b in zip(rep1.images, rep2.images)]
+    vals = range(-entry_bound, entry_bound + 1)
+    for entries in product(vals, repeat=dim * dim):
+        gamma = [list(entries[i * dim:(i + 1) * dim]) for i in range(dim)]
+        if siegel.is_member(gamma, rep1.type_ctx) and \
+           all(xm.matmul(gamma, a) == xm.matmul(b, gamma) for a, b in pairs):
+            return gamma, "found"
+    return None, "not found within bound"
+
+
+def candidate_index(gamma, entry_bound):
+    """Position of gamma in the box order of box_conjugacy_test, from 1."""
+    idx = 0
+    for x in (x for row in gamma for x in row):
+        idx = idx * (2 * entry_bound + 1) + x + entry_bound
+    return idx + 1

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sympforge
-from sympforge import cli, dyons, forms4d, reduction3d, serialize, taming
+from sympforge import cli, dyons, exactmat as xm, forms4d, reduction3d, serialize, siegel, taming
 from strictjson import strict_loads
 
 
@@ -205,6 +206,33 @@ def test_monodromy_conjugacy(tmp_path, capsys):
                                 "--bound", "2"])
     assert code == 0
     assert report["certificate"] == "found"
+
+
+def test_monodromy_conjugacy_of_empty_representations(tmp_path, capsys):
+    # no images: every member conjugates, so the first one in the entry box
+    path = write(tmp_path, "conj.json", {"rep1": [], "rep2": [], "type": [1]})
+    code, report = run(capsys, ["monodromy", "conjugacy", "--in", path, "--bound", "1"])
+    assert code == 0
+    assert report["conjugator"] == [["-1", "-1"], ["0", "-1"]]
+
+
+def test_monodromy_conjugacy_in_dimension_four(tmp_path, capsys):
+    t = (1, 1)
+    rng = random.Random(4)
+    images = [siegel.random_member(t, rng, word_length=4) for _ in range(2)]
+    planted = siegel.SiegelElement.make([[1, 0, 1, -1], [0, 1, -1, 2],
+                                         [0, 0, 1, 0], [0, 0, 0, 1]], t)
+    conjugates = [planted @ a @ planted.inverse() for a in images]
+    payload = {"rep1": [a.rows() for a in images], "rep2": [b.rows() for b in conjugates],
+               "type": list(t)}
+    path = write(tmp_path, "conj.json", payload)
+    code, report = run(capsys, ["monodromy", "conjugacy", "--in", path, "--bound", "2"])
+    assert code == 0
+    assert report["certificate"] == "found"
+    gamma = [[int(x) for x in row] for row in report["conjugator"]]
+    assert max(abs(x) for row in gamma for x in row) <= 2 and siegel.is_member(gamma, t)
+    assert all(xm.matmul(gamma, a.rows()) == xm.matmul(b.rows(), gamma)
+               for a, b in zip(images, conjugates))
 
 
 def test_selftest_subcommand(capsys):

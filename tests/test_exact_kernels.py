@@ -1,5 +1,5 @@
-"""The integer group kernels against the Fraction-elimination methods they
-replaced, which are kept here as oracles."""
+"""The integer group kernels against the Fraction-elimination and box-search
+methods they replaced, which are kept here or in oracles.py as oracles."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ import pytest
 from sympforge import exactmat as xm
 from sympforge import monodromy, siegel
 from sympforge import symplattice as sl
+from oracles import box_conjugacy_test, candidate_index, inverse
 
 MEMBER_TYPES = [(1,), (1, 2), (2, 4), (1, 2, 4)]
 
@@ -57,8 +58,8 @@ def gamma(t):
 def transport_oracle(S, t, t2):
     """Gamma_{t2}^-1 Gamma_t S Gamma_t^-1 Gamma_{t2} by Fraction matrix products."""
     g1, g2 = gamma(t), gamma(t2)
-    M = xm.matmul(xm.inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
-                                                          xm.matmul(xm.inverse(g1), g2))))
+    M = xm.matmul(inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
+                                                       xm.matmul(inverse(g1), g2))))
     return xm.to_int(M) if xm.is_integral(M) else None
 
 
@@ -121,7 +122,7 @@ def random_rational_symplectic(rng, n):
             A = [[rational() for _ in range(n)] for _ in range(n)]
             while xm.det(A) == 0:
                 A = [[rational() for _ in range(n)] for _ in range(n)]
-            for i, (row, inv_row) in enumerate(zip(A, xm.transpose(xm.inverse(A)))):
+            for i, (row, inv_row) in enumerate(zip(A, xm.transpose(inverse(A)))):
                 G[i][:n], G[n + i][n:] = row, inv_row
         T = xm.matmul(T, G)
     return T
@@ -131,7 +132,7 @@ def planted_min_type_input(rng, t):
     """Gamma_t S Gamma_t^-1 for a random type-t member S: a rational
     symplectic matrix for the principal form."""
     S = siegel.random_member(t, rng, word_length=6).rows()
-    return xm.matmul(gamma(t), xm.matmul(xm.to_fraction(S), xm.inverse(gamma(t))))
+    return xm.matmul(gamma(t), xm.matmul(xm.to_fraction(S), inverse(gamma(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_closed_form_inverse_matches_gauss_jordan(t):
     for _ in range(25):
         g = siegel.random_member(t, rng, word_length=8)
         inv = g.inverse()
-        assert inv.rows() == xm.to_int(xm.inverse(g.rows()))
+        assert inv.rows() == xm.to_int(inverse(g.rows()))
         assert (g @ inv).is_identity() and (inv @ g).is_identity()
 
 
@@ -257,20 +258,165 @@ def test_min_type_explicit_cases(T, want):
 
 
 # ---------------------------------------------------------------------------
+# Dirac-system witness: the adjugate inverse of the lattice basis
+
+def dirac_oracle(images, L):
+    """verify_dirac_system with L^-1 by Gauss-Jordan and the inverse of each
+    basis-conjugate checked as well."""
+    Linv = inverse(L)
+    for T in images:
+        C = xm.matmul(Linv, xm.matmul(xm.to_fraction(T), L))
+        if not (xm.is_integral(C) and xm.is_integral(inverse(C))):
+            return False, None
+    G = xm.matmul(xm.transpose(L), xm.matmul(sl.standard_gram(sl.delta(len(L) // 2)), L))
+    return (True, sl.space_type(xm.to_int(G))) if xm.is_integral(G) else (False, None)
+
+
+def unimodular(rng, m):
+    """A product of six elementary row additions."""
+    V = xm.identity(m)
+    for _ in range(6):
+        (i, j), c = rng.sample(range(m), 2), rng.choice([-2, -1, 1, 2])
+        V[i] = [x + c * y for x, y in zip(V[i], V[j])]
+    return V
+
+
+def test_dirac_verification_matches_gauss_jordan_oracle():
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(80):
+        t = rng.choice([(1,), (2,), (3,), (1, 2), (2, 4)])
+        m = 2 * len(t)
+        # P = R Gamma_t, R rational symplectic, carries Omega_t to the principal
+        # form: P V is a basis of type t, preserved by P S P^-1 for type-t members S
+        P = xm.matmul(random_rational_symplectic(rng, len(t)), gamma(t))
+        images = [xm.matmul(P, xm.matmul(xm.to_fraction(
+            siegel.random_member(t, rng, word_length=4).rows()), inverse(P)))
+            for _ in range(rng.randint(1, 2))]
+        basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        while xm.det(basis) == 0:
+            basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        for L in (xm.matmul(P, unimodular(rng, m)), basis):
+            got = monodromy.verify_dirac_system(images, L)
+            assert got == dirac_oracle(images, L)
+            outcomes.append(got)
+    assert outcomes.count((False, None)) >= 20 and len(set(outcomes)) >= 5
+
+
+# ---------------------------------------------------------------------------
+# integer echelon form
+
+def in_row_lattice(v, rows):
+    """True iff v is an integer combination of echelon rows, by back-substitution."""
+    v = list(v)
+    for r in rows:
+        lead = next(c for c, x in enumerate(r) if x)
+        q, rem = divmod(v[lead], r[lead])
+        if rem or any(v[:lead]):
+            return False
+        v = [x - q * y for x, y in zip(v, r)]
+    return not any(v)
+
+
+def test_echelon_shape_and_row_lattice():
+    rng = random.Random(13)
+    cases = [[], [[0, 0, 0]], [[0, 2], [0, -3]], [[4, 6], [6, 9]], [[-5]]]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            A[-1] = [2 * x - 3 * y for x, y in zip(A[0], A[1])]
+        cases.append(A)
+    for A in cases:
+        E = xm.echelon(A)
+        leads = [next(c for c, x in enumerate(r) if x) for r in E]
+        assert leads == sorted(set(leads)) and all(r[c] > 0 for r, c in zip(E, leads))
+        assert all(in_row_lattice(row, E) for row in A)
+        if A and len(A) == len(A[0]):
+            # unimodular row operations keep |det|: the index of the row lattice
+            assert (len(E) == len(A)) == (xm.det(A) != 0)
+            if len(E) == len(A):
+                assert abs(xm.det(A)) == xm.det(E)
+
+
+# ---------------------------------------------------------------------------
+# conjugacy by the intertwiner lattice against the box search
+
+def conjugacy_outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_conjugacy_matches_box_search_in_dimension_two():
+    rng = random.Random(17)
+    refused = monodromy.BoundTooLargeForBudget
+    seen = []
+    for k in range(300):
+        t = [(1,), (2,), (3,)][k % 3]
+        images = [siegel.random_member(t, rng, word_length=3) for _ in range(rng.randint(1, 2))]
+        rep = monodromy.Representation(tuple(images), t)
+        kind = rng.randrange(3)
+        if kind < 2:    # conjugate by a short word (mostly found) or a long one
+            rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=2 + 3 * kind))
+        else:           # unrelated images, mostly a trace mismatch
+            rep2 = monodromy.Representation(tuple(siegel.random_member(t, rng, word_length=3)
+                                                  for _ in rep.images), t)
+        bound = rng.choice([-1, 0, 1, 2, 2, 3, 3, 3])
+        budget = rng.choice([2_000_000, 2_000_000, 60, 6])
+        got = conjugacy_outcome(monodromy.conjugacy_test_bounded, rep, rep2, bound, budget)
+        boxed = conjugacy_outcome(box_conjugacy_test, rep, rep2, bound, budget)
+        if got[0] is refused:
+            # the lattice has at most as many candidates as the box
+            assert boxed[0] is refused
+        else:
+            # where only the box is over the budget, the box answer under an ample one
+            assert got == conjugacy_outcome(box_conjugacy_test, rep, rep2, bound, 2_000_000)
+            assert boxed[0] is refused or boxed == got
+        seen.append("refused" if got[0] is refused else
+                    "only the box refused" if boxed[0] is refused else got[1])
+    assert {"found", "not found within bound", "trace mismatch", "refused",
+            "only the box refused", "entry bound must be non-negative"} <= set(seen)
+
+
+def test_conjugacy_recovers_planted_conjugators_in_dimension_four():
+    # the 3^16-matrix box takes minutes per pair, so the box order is checked
+    # through the planted conjugator's index instead
+    rng = random.Random(19)
+    t = (1, 1)
+    for _ in range(12):
+        rep = monodromy.Representation(
+            tuple(siegel.random_member(t, rng, word_length=4) for _ in range(2)), t)
+        g0 = siegel.random_member(t, rng, word_length=3)
+        while max(abs(x) for row in g0.matrix for x in row) > 1:
+            g0 = siegel.random_member(t, rng, word_length=3)
+        rep2 = rep.conjugated(g0)
+        gamma, cert = monodromy.conjugacy_test_bounded(rep, rep2, 1)
+        assert cert == "found" and siegel.is_member(gamma, t)
+        assert max(abs(x) for row in gamma for x in row) <= 1
+        assert all(xm.matmul(gamma, a.rows()) == xm.matmul(b.rows(), gamma)
+                   for a, b in zip(rep.images, rep2.images))
+        assert candidate_index(gamma, 1) <= candidate_index(g0.rows(), 1)
+
+
+# ---------------------------------------------------------------------------
 # budget guard
 
 def test_budget_guard_fires_before_any_candidate(monkeypatch):
+    # identity images commute with every matrix: a rank-16 lattice, 3^16 > 500
     t = (1, 1)
-    rng = random.Random(5)
-    images = [siegel.random_member(t, rng, word_length=3) for _ in range(2)]
-    rep = monodromy.Representation(tuple(images), t)
+    rep = monodromy.Representation.make([xm.identity(4)] * 2, t)
     calls = []
     monkeypatch.setattr(siegel, "is_member", lambda *args: calls.append(args) or True)
     with pytest.raises(monodromy.BoundTooLargeForBudget):
         monodromy.conjugacy_test_bounded(rep, rep, 1, budget=500)
     assert calls == []
     monkeypatch.undo()
-    # a budget equal to the candidate count, 3^4 = 81, is not exceeded
-    rep1 = monodromy.Representation((siegel.random_member((1,), rng, word_length=3),), (1,))
+    # a budget equal to the candidate count, 3^4 = 81 for the rank-4 lattice of
+    # the identity in dimension 2, is not exceeded
+    rep1 = monodromy.Representation.make([xm.identity(2)], (1,))
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=80)
     gamma_found, cert = monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=81)
     assert cert == "found" and siegel.is_member(gamma_found, (1,))

@@ -5,6 +5,7 @@ import pytest
 
 from sympforge import exactmat as xm
 from sympforge import monodromy, siegel
+from oracles import inverse
 
 
 def make_rep(matrices, t=(1,)):
@@ -84,6 +85,20 @@ def test_dirac_type_invariant_under_unimodular_basis_change():
         assert ok and t == (2,)
 
 
+def test_dirac_planted_type_in_dimension_four():
+    rng = random.Random(8)
+    t = (1, 2)
+    gamma_t = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    images = [xm.matmul(gamma_t, xm.matmul(siegel.random_member(t, rng, word_length=6).rows(),
+                                           inverse(gamma_t))) for _ in range(3)]
+    V = [[1, 2, 0, 1], [0, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 1]]
+    assert abs(xm.det(V)) == 1
+    for basis in (gamma_t, xm.matmul(gamma_t, V)):
+        assert monodromy.verify_dirac_system(images, basis) == (True, t)
+    assert not all(xm.is_integral(T) for T in images)
+    assert monodromy.verify_dirac_system(images, xm.identity(4)) == (False, None)
+
+
 def test_dirac_rejects_degenerate_lattice():
     with pytest.raises(monodromy.DegenerateLattice):
         monodromy.verify_dirac_system([xm.identity(2)], [[1, 1], [1, 1]])
@@ -110,7 +125,7 @@ def test_conjugacy_plant_and_recover():
         rep2 = rep.conjugated(g0)
         gamma, cert = monodromy.conjugacy_test_bounded(rep, rep2, 2)
         assert cert == "found"
-        ginv = xm.inverse(gamma)
+        ginv = inverse(gamma)
         for a, b in zip(rep.images, rep2.images):
             conj = xm.matmul(gamma, xm.matmul(a.rows(), ginv))
             assert xm.mat_equal(xm.to_fraction(conj), xm.to_fraction(b.rows()))
