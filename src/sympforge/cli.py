@@ -63,7 +63,12 @@ def _manifest(args, inputs, tol, seed=None):
 
 
 def _emit(report, code):
-    # serialized in full first: a non-finite float raises before any output
+    # serialized first, field by field: a non-finite float raises before any output
+    for key, value in report.items():
+        try:
+            json.dumps(value, default=str, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"report field {key!r}: {exc}") from None
     sys.stdout.write(json.dumps(report, indent=2, default=str, allow_nan=False) + "\n")
     return code
 
@@ -188,6 +193,7 @@ def _taming_from_spec(spec, n):
     return serialize.float_array_from_json(data), inputs
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a non-finite result is refused, not warned
 def cmd_dyon(args, tol):
     if args.action == "build":
         v = _parse_vector(args.v)

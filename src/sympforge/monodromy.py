@@ -6,7 +6,7 @@ within its entry bound.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from math import isqrt
 
 from . import exactmat as xm
 from . import siegel
@@ -105,7 +105,7 @@ def verify_dirac_system(images, lattice_basis):
         T = xm.to_fraction(T)
         if len(T) != m or not xm.is_square(T):
             raise ShapeMismatch(f"images must be {m}x{m}, like the lattice basis")
-        if not xm.mat_equal(xm.matmul(xm.transpose(T), xm.matmul(W, T)), W):
+        if not siegel.preserves_form(T, sl.delta(n)):
             raise sl.NotSymplectic("image is not symplectic for the standard form")
         C = xm.matmul(Linv, xm.matmul(T, L))
         # det C = det T = 1, so an integral C has an integral inverse
@@ -117,18 +117,32 @@ def verify_dirac_system(images, lattice_basis):
     return True, sl.space_type(xm.to_int(G))
 
 
+def _last_coefficient(q, l, k, P, r, bound):
+    """The least integer c with P + c r in [-bound, bound] and q_e c^2 + l_e c + k_e = 0 for
+    every e, or None: a root of the first equation not constant in c, else the least."""
+    a, b, e = next(((a, b, e) for a, b, e in zip(q, l, k) if a or b), (0, 0, 0))
+    roots = [(-b + s * isqrt(d)) // (2 * a) for s in (-1, 1)] \
+        if a and (d := b * b - 4 * a * e) >= 0 else [-e // b] if b else []
+    roots = [c for c in roots if all(x * c * c + y * c + z == 0 for x, y, z in zip(q, l, k))]
+    if (a or b or any(k)) and not roots or any(abs(p) > bound for p, y in zip(P, r) if not y):
+        return None
+    span = [(p, y) if y > 0 else (-p, -y) for p, y in zip(P, r) if y]   # |p + c y|, y > 0
+    lo, hi = max(-((bound + p) // y) for p, y in span), min((bound - p) // y for p, y in span)
+    return min((c for c in roots or [lo] if lo <= c <= hi), default=None)
+
+
 def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     """Conjugator search among members with entries in [-entry_bound, entry_bound].
 
     Members are invertible, so gamma a gamma^-1 = b is gamma a = b gamma, which is
     linear in gamma.  In the echelon form of one row per gamma_ij, its coefficients
-    in every equation and then the unit vector, the rows with a zero equation
-    part are an echelon basis of the intertwiners.
-    Candidates fix the entries at their leading columns in lexicographic order,
-    the order of the flattened entries.  Returns (gamma, certificate): the first
-    member found, or None, which is decisive with "trace mismatch" and otherwise
-    means not found within the bound.  Raises BoundTooLargeForBudget before any
-    candidate if the (2 * entry_bound + 1)^rank candidates exceed the budget.
+    in every equation and then the unit vector, the rows with a zero equation part
+    are an echelon basis of the intertwiners.  All coefficients but the last fix the
+    entries at their leading columns in lexicographic order, the order of the
+    flattened entries; membership is quadratic in the last, which is solved for.
+    Returns (gamma, certificate): the first member found, or None, which is decisive
+    with "trace mismatch" and otherwise means not found within the bound.  Raises
+    BoundTooLargeForBudget first if the (2b + 1)^(rank - 1) choices exceed the budget.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
@@ -139,7 +153,7 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
         if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
            sum(b.matrix[i][i] for i in range(len(b.matrix))):
             return None, "trace mismatch"
-    dim = 2 * len(rep1.type_ctx)
+    dim, t = 2 * len(rep1.type_ctx), rep1.type_ctx
     cells = [(i, j) for i in range(dim) for j in range(dim)]
     pairs = [(a.matrix, b.matrix) for a, b in zip(rep1.images, rep2.images)]
     # the coefficient of gamma_ij in (gamma a - b gamma)_kl
@@ -147,20 +161,29 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
              for a, b in pairs for k, l in cells] + [int(c == (i, j)) for c in cells]
             for i, j in cells]
     basis = [r[-len(cells):] for r in xm.echelon(rows) if not any(r[:-len(cells)])]
-    count = (2 * entry_bound + 1) ** len(basis)
+    count = (2 * entry_bound + 1) ** max(len(basis) - 1, 0)
     if count > budget:
         raise BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
                                      "lower the bound")
+    if not basis:
+        return None, "not found within bound"
     leads = [next(c for c, x in enumerate(r) if x) for r in basis]
-    for values in product(range(-entry_bound, entry_bound + 1), repeat=len(basis)):
-        point = [0] * (dim * dim)
-        for r, lead, v in zip(basis, leads, values):
-            c, rem = divmod(v - point[lead], r[lead])
-            if rem:
-                break
-            point = [x + c * y for x, y in zip(point, r)]
-        else:
-            gamma = [point[i * dim:(i + 1) * dim] for i in range(dim)]
-            if max(map(abs, point)) <= entry_bound and siegel.is_member(gamma, rep1.type_ctx):
-                return gamma, "found"
+    shape = lambda v: [v[i * dim:(i + 1) * dim] for i in range(dim)]
+    F = [[siegel.pairing(shape(x), shape(y), t) for y in basis] for x in basis]
+    # depth first over c r_a by the entry at r_a's leading column: P = sum c r so far,
+    # K = P^T Omega P - Omega and Y[d - a] = P^T Omega r_d + r_d^T Omega P (entries i < j)
+    def prefixes(a, P, K, Y):
+        if a == len(basis) - 1:
+            yield P, K, Y[0]
+            return
+        r, p, s = basis[a], P[leads[a]], basis[a][leads[a]]
+        for c in range(-((entry_bound + p) // s), (entry_bound - p) // s + 1):
+            yield from prefixes(a + 1, [x + c * y for x, y in zip(P, r)],
+                                [k + c * (c * f + y) for k, f, y in zip(K, F[a][a], Y[0])],
+                                [[y + c * (f + g) for y, f, g in zip(Yd, F[a][d], F[d][a])]
+                                 for d, Yd in enumerate(Y[1:], a + 1)])
+    w = [-x for x in siegel.pairing(*[xm.identity(dim)] * 2, t)]    # -Omega_t
+    for P, K, l in prefixes(0, [0] * len(cells), w, [[0] * len(w)] * len(basis)):
+        if (c := _last_coefficient(F[-1][-1], l, K, P, basis[-1], entry_bound)) is not None:
+            return shape([x + c * y for x, y in zip(P, basis[-1])]), "found"
     return None, "not found within bound"

@@ -32,23 +32,24 @@ def is_member(S, t):
     t = sl.validate_type(t)
     if not xm.is_square(S) or len(S) != 2 * len(t):
         raise DimensionMismatch(f"expected a {2*len(t)}x{2*len(t)} matrix")
-    return xm.is_integral(S) and _preserves_form(xm.to_int(S), t)
+    return xm.is_integral(S) and preserves_form(xm.to_int(S), t)
 
 
-def _preserves_form(S, t):
-    """S^T Omega_t S == Omega_t for an exact square S of size 2n = 2 len(t).
-
-    Both sides are antisymmetric, so only the entries i < j are compared, as
-    (S^T Omega_t S)_ij = sum_k t_k (S_ki S_{n+k,j} - S_{n+k,i} S_kj).
-    """
+def pairing(X, Y, t):
+    """The entries i < j of X^T Omega_t Y, row by row, for exact square X and Y of
+    size 2n = 2 len(t): (X^T Omega_t Y)_ij = sum_k t_k (X_ki Y_{n+k,j} - X_{n+k,i} Y_kj)."""
     n = len(t)
-    cols = [(c[:n], c[n:]) for c in zip(*S)]
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            w = sum(tk * (a * d - c * b) for tk, a, c, b, d in zip(t, *cols[i], *cols[j]))
-            if w != (t[i] if j == i + n else 0):
-                return False
-    return True
+    xs = [(c[:n], c[n:]) for c in zip(*X)]
+    ys = xs if Y is X else [(c[:n], c[n:]) for c in zip(*Y)]
+    return [sum(tk * (a * d - c * b) for tk, a, c, b, d in zip(t, *xs[i], *ys[j]))
+            for i in range(2 * n) for j in range(i + 1, 2 * n)]
+
+
+def preserves_form(S, t):
+    """S^T Omega_t S == Omega_t for exact square S, on the entries i < j of both sides."""
+    n = len(t)
+    return pairing(S, S, t) == [t[i] if j == i + n else 0
+                                for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
 def _diag_conjugate(S, c):
@@ -112,7 +113,7 @@ def element_min_type(T):
     if not xm.is_square(T) or m % 2:
         raise DimensionMismatch("matrix must be square of even dimension")
     n = m // 2
-    if not _preserves_form(T, sl.delta(n)):
+    if not preserves_form(T, sl.delta(n)):
         raise NotSymplectic("matrix is not symplectic for the standard form")
 
     cap = lcm(*(x.denominator for row in T for x in row)) ** n

@@ -1,6 +1,7 @@
 """Brute-force oracles that the library's closed forms and lattice methods
-replaced: Gauss-Jordan inversion over the rationals and the conjugator
-search over the whole entry box."""
+replaced: Gauss-Jordan inversion over the rationals, the conjugator search
+over the whole entry box, and the enumeration of the intertwiner lattice
+that tries every value of the last coefficient."""
 
 from fractions import Fraction
 from itertools import product
@@ -56,6 +57,53 @@ def box_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):
         if siegel.is_member(gamma, rep1.type_ctx) and \
            all(xm.matmul(gamma, a) == xm.matmul(b, gamma) for a, b in pairs):
             return gamma, "found"
+    return None, "not found within bound"
+
+
+def intertwiner_basis(rep1, rep2):
+    """Echelon basis of the integer gamma with gamma a = b gamma for every image pair,
+    each gamma flattened row by row, as monodromy.conjugacy_test_bounded finds it."""
+    dim = 2 * len(rep1.type_ctx)
+    cells = [(i, j) for i in range(dim) for j in range(dim)]
+    pairs = [(a.matrix, b.matrix) for a, b in zip(rep1.images, rep2.images)]
+    rows = [[(a[j][l] if i == k else 0) - (b[k][i] if j == l else 0)
+             for a, b in pairs for k, l in cells] + [int(c == (i, j)) for c in cells]
+            for i, j in cells]
+    return [r[-len(cells):] for r in xm.echelon(rows) if not any(r[:-len(cells)])]
+
+
+def lattice_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):
+    """monodromy.conjugacy_test_bounded by enumerating the intertwiner lattice:
+    every coefficient of the echelon basis, the last one included, runs over
+    the values at its leading column in lexicographic order, and each point in
+    the box is tested for membership; the budget counts (2 * entry_bound + 1)^rank
+    candidates."""
+    if entry_bound < 0:
+        raise ValueError("entry bound must be non-negative")
+    if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
+        raise monodromy.ShapeMismatch("representations are not comparable")
+    for a, b in zip(rep1.images, rep2.images):
+        if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
+           sum(b.matrix[i][i] for i in range(len(b.matrix))):
+            return None, "trace mismatch"
+    dim = 2 * len(rep1.type_ctx)
+    basis = intertwiner_basis(rep1, rep2)
+    count = (2 * entry_bound + 1) ** len(basis)
+    if count > budget:
+        raise monodromy.BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
+                                               "lower the bound")
+    leads = [next(c for c, x in enumerate(r) if x) for r in basis]
+    for values in product(range(-entry_bound, entry_bound + 1), repeat=len(basis)):
+        point = [0] * (dim * dim)
+        for r, lead, v in zip(basis, leads, values):
+            c, rem = divmod(v - point[lead], r[lead])
+            if rem:
+                break
+            point = [x + c * y for x, y in zip(point, r)]
+        else:
+            gamma = [point[i * dim:(i + 1) * dim] for i in range(dim)]
+            if max(map(abs, point)) <= entry_bound and siegel.is_member(gamma, rep1.type_ctx):
+                return gamma, "found"
     return None, "not found within bound"
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -362,12 +363,21 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
 ], ids=["theta_squared_overflows", "edyn_spec_theta_overflows", "charge_beyond_float",
         "flux_overflows", "report_not_finite"])
 def test_overflowing_argv_exits_two_with_one_report(argv, capsys):
-    code = cli.main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.count("\n") == 1  # the invalid_input report and nothing before it
-    assert strict_loads(captured.out)["status"] == "invalid_input"
+    report = strict_loads(captured.out)
+    assert report["status"] == "invalid_input"
     assert "Traceback" not in captured.err
+    if argv[0] == "dyon":
+        # numpy's overflow warnings would land on stderr before the error line
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert captured.err == f"error: {report['error']}\n"
+    if argv[-1] == "edyn:0,1e150":
+        assert report["error"].startswith("report field 'psi_at_1': ")
 
 
 def test_manifest_records_the_argv_main_parsed(capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""The integer group kernels against the Fraction-elimination and box-search
-methods they replaced, which are kept here or in oracles.py as oracles."""
+"""The integer group kernels against the Fraction-elimination, box-search and
+lattice-enumeration methods they replaced, which are kept here or in
+oracles.py as oracles."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ import pytest
 from sympforge import exactmat as xm
 from sympforge import monodromy, siegel
 from sympforge import symplattice as sl
-from oracles import box_conjugacy_test, candidate_index, inverse
+from oracles import (box_conjugacy_test, candidate_index, intertwiner_basis, inverse,
+                     lattice_conjugacy_test)
 
 MEMBER_TYPES = [(1,), (1, 2), (2, 4), (1, 2, 4)]
 
@@ -401,22 +403,124 @@ def test_conjugacy_recovers_planted_conjugators_in_dimension_four():
 
 
 # ---------------------------------------------------------------------------
+# the solved last coefficient against the lattice enumeration
+
+def same_as_lattice_enumeration(rep, rep2, bound, budget):
+    """The search and the lattice enumeration give the same answer or raise the
+    same class; where only the enumeration is over the budget, the search gives
+    the enumeration's answer under an ample budget."""
+    refused = monodromy.BoundTooLargeForBudget
+    got = conjugacy_outcome(monodromy.conjugacy_test_bounded, rep, rep2, bound, budget)
+    ref = conjugacy_outcome(lattice_conjugacy_test, rep, rep2, bound, budget)
+    if got[0] is refused:
+        assert ref[0] is refused
+    elif ref[0] is refused:
+        assert got == lattice_conjugacy_test(rep, rep2, bound, 2_000_000)
+    else:
+        assert got == ref
+    return got
+
+
+def test_conjugacy_matches_lattice_enumeration_in_dimension_two():
+    rng = random.Random(23)
+    seen = set()
+    for k in range(240):
+        t = [(1,), (2,), (3,)][k % 3]
+        rep = monodromy.Representation(
+            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 2))), t)
+        if rng.random() < 0.7:
+            rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=rng.randint(0, 3)))
+        else:
+            rep2 = monodromy.Representation(tuple(siegel.random_member(t, rng, word_length=3)
+                                                  for _ in rep.images), t)
+        got = same_as_lattice_enumeration(rep, rep2, k % 7 - 1, 3 ** 9)   # bounds -1..5
+        seen.add(got[1])
+    assert {"found", "not found within bound", "trace mismatch",
+            "entry bound must be non-negative"} <= seen
+
+
+def test_conjugacy_matches_lattice_enumeration_in_dimension_four():
+    # images as in the exact benchmark: short words, among them shears and the
+    # identity, conjugated by a member with entries in [-1, 1].  Draws are kept
+    # until each lattice rank has its quota; no draw reaches rank 7 or 9
+    rng = random.Random(29)
+    t = (1, 1)
+    want = {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3, 8: 2, 10: 2, 16: 1}
+    seen = dict.fromkeys(want, 0)
+    for _ in range(3000):
+        if seen == want:
+            break
+        rep = monodromy.Representation(
+            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 2))), t)
+        g0 = siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+        if max(abs(x) for row in g0.matrix for x in row) > 1:
+            continue
+        rep2 = rep.conjugated(g0)
+        rank = len(intertwiner_basis(rep, rep2))
+        if seen.get(rank, 0) < want.get(rank, 0):
+            seen[rank] += 1
+            same_as_lattice_enumeration(rep, rep2, 1, 3 ** 9)
+    assert seen == want
+
+
+def test_conjugacy_solves_a_rank_six_lattice_the_enumeration_refuses():
+    # 3^6 = 729 lattice points exceed the budget; 3^5 = 243 choices of the
+    # fixed coefficients do not
+    rep = monodromy.Representation.make(
+        [[[1, 1, -2, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, -1, 1]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 2, 0, 1]]], (1, 1))
+    assert len(intertwiner_basis(rep, rep)) == 6
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        lattice_conjugacy_test(rep, rep, 1, 500)
+    gamma, cert = monodromy.conjugacy_test_bounded(rep, rep, 1, 500)
+    assert cert == "found" and siegel.is_member(gamma, (1, 1))
+    assert (gamma, cert) == lattice_conjugacy_test(rep, rep, 1, 729)
+
+
+def test_conjugacy_at_a_large_bound_solves_the_last_coefficient():
+    rep1 = monodromy.Representation.make([[[1, 1], [0, 1]]], (1,))
+    rep2 = monodromy.Representation.make([[[1, 0], [-1, 1]]], (1,))
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        lattice_conjugacy_test(rep1, rep2, 700, 1401)
+    # the enumeration's answer under an ample budget, 1401^2 lattice points, takes
+    # seconds; the search takes 1401 choices of the first coefficient
+    assert monodromy.conjugacy_test_bounded(rep1, rep2, 700, 1401) == \
+        ([[0, -1], [1, -700]], "found")
+
+
+def test_conjugacy_of_a_rank_zero_lattice_is_not_found():
+    # only gamma = 0 intertwines these images with the identity
+    rep1 = monodromy.Representation.make([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], (1,))
+    rep2 = monodromy.Representation.make([xm.identity(2)] * 2, (1,))
+    assert intertwiner_basis(rep1, rep2) == []
+    assert monodromy.conjugacy_test_bounded(rep1, rep2, 2, 1) == \
+        (None, "not found within bound")
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        monodromy.conjugacy_test_bounded(rep1, rep2, 2, 0)
+
+
+# ---------------------------------------------------------------------------
 # budget guard
 
 def test_budget_guard_fires_before_any_candidate(monkeypatch):
-    # identity images commute with every matrix: a rank-16 lattice, 3^16 > 500
+    # identity images commute with every matrix: a rank-16 lattice, 3^15 > 500
     t = (1, 1)
     rep = monodromy.Representation.make([xm.identity(4)] * 2, t)
-    calls = []
-    monkeypatch.setattr(siegel, "is_member", lambda *args: calls.append(args) or True)
+    calls, pairing = [], siegel.pairing
+    monkeypatch.setattr(siegel, "pairing", lambda *args: calls.append(args) or pairing(*args))
     with pytest.raises(monodromy.BoundTooLargeForBudget):
         monodromy.conjugacy_test_bounded(rep, rep, 1, budget=500)
     assert calls == []
+    # once the budget admits the search, it pairs the basis rows
+    monodromy.conjugacy_test_bounded(rep, rep, 0, budget=500)
+    assert calls
     monkeypatch.undo()
-    # a budget equal to the candidate count, 3^4 = 81 for the rank-4 lattice of
-    # the identity in dimension 2, is not exceeded
+    # a budget equal to the count, 3^3 = 27 choices of the first three coefficients
+    # of the rank-4 lattice of the identity in dimension 2, is not exceeded
     rep1 = monodromy.Representation.make([xm.identity(2)], (1,))
     with pytest.raises(monodromy.BoundTooLargeForBudget):
-        monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=80)
-    gamma_found, cert = monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=81)
+        monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=26)
+    gamma_found, cert = monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=27)
     assert cert == "found" and siegel.is_member(gamma_found, (1,))
