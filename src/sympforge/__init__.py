@@ -3,9 +3,3 @@ tamings and period matrices, polarized self-duality, timelike reduction to
 polarized Bogomolny equations, and explicit quantized dyons."""
 
 __version__ = "0.1.0"
-
-from . import (dyons, exactmat, forms4d, monodromy, reduction3d, serialize,
-               siegel, symplattice, taming)
-
-__all__ = ["dyons", "exactmat", "forms4d", "monodromy", "reduction3d",
-           "serialize", "siegel", "symplattice", "taming", "__version__"]

@@ -193,7 +193,6 @@ def _taming_from_spec(spec, n):
     return serialize.float_array_from_json(data), inputs
 
 
-@np.errstate(over="ignore", invalid="ignore")     # a non-finite result is refused, not warned
 def cmd_dyon(args, tol):
     if args.action == "build":
         v = _parse_vector(args.v)
@@ -348,7 +347,8 @@ def main(argv=None):
             raise UsageError("dyon build requires --v")
         if args.group == "dyon" and args.action == "flux" and not args.infile:
             raise UsageError("dyon flux requires --in")
-        return args.func(args, tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused
+            return args.func(args, tol)
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         json.dump({"status": "invalid_input", "error": str(exc)}, sys.stdout)

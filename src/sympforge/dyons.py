@@ -195,9 +195,9 @@ def flux_quantization(sol):
                       realized_sign=realized, chern=0.5 * sol.v)
 
 
-def default_far_grid(spacing=0.01, nodes=9):
-    """Small Euclidean grid well away from the puncture at the origin."""
-    return reduction3d.Grid3(shape=(nodes,) * 3, spacing=(spacing,) * 3,
+def default_far_grid(nodes=9):
+    """Small Euclidean grid, spacing 0.01, well away from the puncture at the origin."""
+    return reduction3d.Grid3(shape=(nodes,) * 3, spacing=(0.01,) * 3,
                              origin=(2.0,) * 3)
 
 

@@ -153,9 +153,8 @@ def check_polarized_selfdual(p, N, V, tol=COMPOSED_TOL):
         raise DimensionMismatch("form rank must be twice the period-matrix rank")
     J = taming.theta_forward(N)
     sV = hodge_star2(p, V)
-    JV = np.einsum("jk,kab->jab", J, V)
-    residual = float(np.max(np.abs(sV + JV)))
-    global_residual = float(np.max(np.abs(polarized_star(p, J, V) - V)))
+    residual = float(np.max(np.abs(sV + np.einsum("jk,kab->jab", J, V))))
+    global_residual = float(np.max(np.abs(np.einsum("jk,kab->jab", J, sV) - V)))
     scale = max(1.0, float(np.max(np.abs(V))))
     ok = residual < tol * scale
     report = {"residual": residual, "global_residual": global_residual}

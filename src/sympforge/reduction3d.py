@@ -164,12 +164,7 @@ def bogomolny_residual(grid, J, pair):
     if J.shape[-2:] != (two_n, two_n):
         raise RankMismatch("taming size does not match field rank")
     star_v = forms4d.hodge_star(grid.metric, pair.V, 2)  # (*shape, 2n, 3)
-    if J.ndim == 2:
-        lhs = np.einsum("jk,...ka->...ja", J, star_v)
-    else:
-        lhs = np.einsum("...jk,...ka->...ja", J, star_v)
-    dpsi = grad_nodes(grid, pair.psi)
-    eq_field = lhs - dpsi
+    eq_field = np.einsum("...jk,...ka->...ja", J, star_v) - grad_nodes(grid, pair.psi)
     # discrete exterior derivative of the 2-form: one 3-form component
     dV = (np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
           + np.gradient(pair.V[..., 2, 0], grid.spacing[1], axis=1, edge_order=2)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import reduction3d
+from . import reduction3d, siegel, taming
 
 
 def int_matrix_to_json(A):
@@ -95,7 +95,6 @@ def aff_to_json(g):
 
 
 def aff_from_json(data):
-    from . import siegel
     data = checked(data, dict, "an affine element")
     rot = siegel.SiegelElement.make(int_matrix_from_json(data["gamma"]),
                                     int_tuple_from_json(data["type"]))
@@ -108,7 +107,6 @@ def period_to_json(N):
 
 
 def period_from_json(data):
-    from . import taming
     data = checked(data, dict, "a period matrix")
     return taming.PeriodMatrix(float_array_from_json(data["R"]),
                                float_array_from_json(data["I"]))

@@ -183,14 +183,14 @@ def aff_compose(g1, g2):
     """(a1, r1)(a2, r2) = (a1 + r1 a2 mod 1, r1 r2)."""
     if g1.rotation.type_ctx != g2.rotation.type_ctx:
         raise TypeContextMismatch("elements live in groups of different type")
-    moved = xm.matvec(xm.to_fraction(g1.rotation.rows()), list(g2.translation))
+    moved = xm.matvec(g1.rotation.matrix, g2.translation)
     a = tuple(_mod1(x + y) for x, y in zip(g1.translation, moved))
     return AffElement(a, g1.rotation @ g2.rotation)
 
 
 def aff_inverse(g):
     rot_inv = g.rotation.inverse()
-    moved = xm.matvec(xm.to_fraction(rot_inv.rows()), list(g.translation))
+    moved = xm.matvec(rot_inv.matrix, g.translation)
     return AffElement(tuple(_mod1(-x) for x in moved), rot_inv)
 
 

@@ -68,7 +68,7 @@ def is_taming(J, tol=ALG_TOL):
     report["q_symmetric_residual"] = float(np.max(np.abs(Q - Q.T)))
     try:
         np.linalg.cholesky(0.5 * (Q + Q.T) + tol * np.eye(2 * n))
-        report["q_positive"] = True
+        report["q_positive"] = bool(np.isfinite(Q).all())  # Cholesky passes NaN through
     except np.linalg.LinAlgError:
         report["q_positive"] = False
     ok = (report["square_residual"] < tol

@@ -11,32 +11,8 @@ import pytest
 
 from sympforge import dyons, exactmat as xm, forms4d, monodromy
 from sympforge import reduction3d, siegel, symplattice as sl, taming
+from sympforge.selftest import random_chain, random_gram, random_unimodular
 from oracles import inverse
-
-
-def random_gram(rng, n, bound=20):
-    while True:
-        A = [[rng.randint(-bound, bound) for _ in range(2 * n)] for _ in range(2 * n)]
-        G = xm.sub(A, xm.transpose(A))
-        if xm.det(G) != 0:
-            return G
-
-
-def random_unimodular(rng, m, ops=8):
-    U = xm.identity(m)
-    for _ in range(ops):
-        i, j = rng.sample(range(m), 2)
-        c = rng.randint(-2, 2)
-        for row in U:
-            row[j] += c * row[i]
-    return U
-
-
-def random_chain(rng, n, max_factor=4):
-    t = [rng.randint(1, max_factor)]
-    for _ in range(n - 1):
-        t.append(t[-1] * rng.randint(1, max_factor))
-    return tuple(t)
 
 
 def test_criterion_01_normal_form_soundness():
@@ -210,7 +186,8 @@ def test_criterion_10_dyon_construction_and_flux():
         assert rep["eq_residual"] < 1e-10
         flux = dyons.flux_quantization(sol)
         assert np.max(np.abs(flux.flux + 2 * np.pi * v)) < 1e-8
-    grid = dyons.default_far_grid(spacing=0.01, nodes=9)
+    grid = dyons.default_far_grid(nodes=9)
+    assert grid.spacing == (0.01,) * 3  # the pinned grid scale
     J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
     sol = dyons.dyon_construct(J, [2, 1], [0, 0])
     gr = reduction3d.bogomolny_residual(grid, J, sol.sample_pair(grid))

@@ -143,7 +143,7 @@ def test_reduce_astdec_check(tmp_path, capsys):
 def test_bogomolny_residual(tmp_path, capsys):
     J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
     sol = dyons.dyon_construct(J, [0, 1], [0, 0])
-    grid = dyons.default_far_grid(spacing=0.01, nodes=5)
+    grid = dyons.default_far_grid(nodes=5)
     pair = sol.sample_pair(grid)
     header = serialize.grid_field_to_json(grid, {"psi": pair.psi, "V": pair.V})
     header["J"] = J.tolist()
@@ -360,9 +360,11 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     ["edyn", "build", "--qe", "1" + "0" * 400],
     ["dyon", "build", "--v", "1e308,1e308"],
     ["dyon", "build", "--v", "1e200,1e200", "--J", "edyn:0,1e150"],
+    ["taming", "check", "--in", "-"],
 ], ids=["theta_squared_overflows", "edyn_spec_theta_overflows", "charge_beyond_float",
-        "flux_overflows", "report_not_finite"])
-def test_overflowing_argv_exits_two_with_one_report(argv, capsys):
+        "flux_overflows", "report_not_finite", "taming_check_overflows"])
+def test_overflowing_argv_exits_two_with_one_report(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([[1e200, 0.0], [0.0, 1e200]])))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
@@ -372,10 +374,9 @@ def test_overflowing_argv_exits_two_with_one_report(argv, capsys):
     report = strict_loads(captured.out)
     assert report["status"] == "invalid_input"
     assert "Traceback" not in captured.err
-    if argv[0] == "dyon":
-        # numpy's overflow warnings would land on stderr before the error line
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert captured.err == f"error: {report['error']}\n"
+    # numpy's overflow warnings would land on stderr before the error line
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert captured.err == f"error: {report['error']}\n"
     if argv[-1] == "edyn:0,1e150":
         assert report["error"].startswith("report field 'psi_at_1': ")
 
@@ -419,9 +420,19 @@ def run_python(*args):
                           text=True, timeout=120)
 
 
+def test_exact_layers_load_no_numpy():
+    proc = run_python("-c", "import sys; from sympforge import exactmat, monodromy, siegel, "
+                            "symplattice; print(sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_scipy():
+    # nor numpy.random, which numpy imports on its first use
     proc = run_python("-c", "import sys, sympforge.cli; "
-                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                            "or m.startswith('numpy.random')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -33,7 +33,7 @@ def test_generic_dyon_passes_grid_residual():
     N = taming.random_period_matrix(1, rng)
     J = taming.theta_forward(N)
     sol = dyons.dyon_construct(J, [2, -1], [0.1, 0.2])
-    grid = dyons.default_far_grid(spacing=0.01, nodes=7)
+    grid = dyons.default_far_grid(nodes=7)
     rep = reduction3d.bogomolny_residual(grid, J, sol.sample_pair(grid))
     assert rep["eq_residual"] < 1e-6
     assert rep["closure_residual"] < 1e-6

@@ -20,7 +20,6 @@ OPTIONS = {
     "cli.main.argv",
     "dyons.DyonSolution.psi.<lambda>.i",
     "dyons.dyon_construct.type_ctx",
-    "dyons.default_far_grid.spacing",
     "dyons.default_far_grid.nodes",
     "dyons.electrodynamics_dyon.grid",
     "forms4d.hodge_star.orientation",

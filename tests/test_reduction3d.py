@@ -82,7 +82,7 @@ def test_bogomolny_residual_vacuum():
 def test_bogomolny_residual_dyon_oracle():
     J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
     sol = dyons.dyon_construct(J, [0, 1], [0, 0])
-    grid = dyons.default_far_grid(spacing=0.01, nodes=7)
+    grid = dyons.default_far_grid(nodes=7)
     rep = reduction3d.bogomolny_residual(grid, J, sol.sample_pair(grid))
     assert rep["eq_residual"] < 1e-6
     assert rep["closure_residual"] < 1e-6
@@ -101,7 +101,7 @@ def test_bogomolny_residual_detects_violation():
 def test_lift_dyon_selfdual():
     J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
     sol = dyons.dyon_construct(J, [1, 1], [0, 0])
-    grid = dyons.default_far_grid(spacing=0.01, nodes=7)
+    grid = dyons.default_far_grid(nodes=7)
     out = reduction3d.lift_to_4d(sol.sample_pair(grid), grid, J)
     assert out["residual"] < 1e-6
 
@@ -140,7 +140,7 @@ def test_rank_mismatch():
 
 
 def test_em_static_residual_coulomb():
-    grid = dyons.default_far_grid(spacing=0.01, nodes=7)
+    grid = dyons.default_far_grid(nodes=7)
     X = grid.points()
     r = np.linalg.norm(X, axis=-1)
     Phi = 1.0 / r

@@ -5,24 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympforge import exactmat as xm
 from sympforge import symplattice as sl
-
-
-def random_gram(rng, n, bound=20):
-    while True:
-        A = [[rng.randint(-bound, bound) for _ in range(2 * n)] for _ in range(2 * n)]
-        G = xm.sub(A, xm.transpose(A))
-        if xm.det(G) != 0:
-            return G
-
-
-def random_unimodular(rng, m, ops=8):
-    U = xm.identity(m)
-    for _ in range(ops):
-        i, j = rng.sample(range(m), 2)
-        c = rng.randint(-2, 2)
-        for row in U:
-            row[j] += c * row[i]
-    return U
+from sympforge.selftest import random_gram, random_unimodular
 
 
 def test_standard_gram_principal():
@@ -123,7 +106,7 @@ def test_type_invariance_under_unimodular_conjugation():
         G = random_gram(rng, n)
         t = sl.space_type(G)
         for _ in range(10):
-            V = random_unimodular(rng, 2 * n)
+            V = random_unimodular(rng, 2 * n, ops=8)
             assert sl.space_type(sl.restrict_gram(G, V)) == t
 
 

@@ -67,6 +67,14 @@ def test_is_taming_rejects_identity():
     assert report["square_residual"] > 1.0
 
 
+def test_is_taming_reports_non_finite_q_as_not_positive():
+    # Cholesky passes NaN through without raising, so finiteness is checked apart
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, report = taming.is_taming([[np.inf, 0.0], [0.0, 1.0]])
+    assert not ok
+    assert report["q_positive"] is False
+
+
 def test_conjugate_by_identity():
     assert np.allclose(taming.taming_conjugate(STD_J, np.eye(2)), STD_J)
 
