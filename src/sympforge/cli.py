@@ -10,18 +10,16 @@ seed, version.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
 
-import numpy as np
+from . import __version__, lazy, monodromy, serialize, siegel, symplattice as sl
 
-from . import __version__, dyons, forms4d, monodromy
-from . import reduction3d, selftest, serialize, siegel, symplattice as sl, taming
-
-
-class UsageError(ValueError):
-    pass
+# numpy and the float layers run on first use, so the exact groups never load numpy
+np, dyons, forms4d, reduction3d, selftest, taming = lazy("numpy", *(
+    f"sympforge.{m}" for m in ("dyons", "forms4d", "reduction3d", "selftest", "taming")))
 
 
 # every exception that means "invalid input", exit 2 with status invalid_input:
@@ -45,7 +43,7 @@ def _read_json(path, kind):
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {path}: {exc}") from None
     data = json.loads(text)
     if kind is not None:
         serialize.checked(data, kind, f"{path}: top-level JSON value")
@@ -100,7 +98,7 @@ def cmd_group(args, tol):
     t = _parse_type(args.type) if args.type else None
     if args.action == "check":
         if t is None:
-            raise UsageError("group check requires --type")
+            raise ValueError("group check requires --type")
         S = serialize.int_matrix_from_json(data)
         member = siegel.is_member(S, t)
         report = {"status": "ok", "member": member,
@@ -172,7 +170,7 @@ def cmd_bogomolny(args, tol):
     # payload names are relative to the header's directory (cwd for stdin)
     grid, fields = serialize.grid_field_from_json(data, os.path.dirname(args.infile) or ".")
     if "psi" not in fields or "V" not in fields:
-        raise UsageError("grid payload must provide fields 'psi' and 'V'")
+        raise ValueError("grid payload must provide fields 'psi' and 'V'")
     J = serialize.float_array_from_json(data["J"])
     rep = reduction3d.bogomolny_residual(
         grid, J, reduction3d.BogomolnyPair(fields["psi"], fields["V"]))
@@ -274,7 +272,7 @@ def cmd_monodromy(args, tol):
 def cmd_selftest(args, tol):
     scope = args.scope
     if scope != "all" and scope not in selftest.SUITES:
-        raise UsageError(f"unknown module {scope!r}; choose from "
+        raise ValueError(f"unknown module {scope!r}; choose from "
                          f"{['all'] + sorted(selftest.SUITES)}")
     passed, report = selftest.run(scope, args.seed)
     out = {"status": "ok" if passed else "failed", "suites": report,
@@ -313,7 +311,7 @@ def build_parser():
     dy.add_argument("--J", default="std")
     ed = add("edyn", ["build"], cmd_edyn, infile=None)
     ed.add_argument("--theta", type=float, default=0.0)
-    ed.add_argument("--gsq", type=float, default=4 * np.pi)
+    ed.add_argument("--gsq", type=float, default=4 * math.pi)
     ed.add_argument("--qe", type=int, default=0)
     ed.add_argument("--qm", type=int, default=0)
     add("monodromy", ["validate", "dirac-verify", "conjugacy"], cmd_monodromy).add_argument(
@@ -340,13 +338,16 @@ def main(argv=None):
         return 0
     try:
         tol = args.tol if args.tol is not None else default_tol()
-        for name, value in (("tolerance", tol), ("--threshold", getattr(args, "threshold", 0.0))):
+        for name, value in (("tolerance", tol), ("--threshold", getattr(args, "threshold", 0.0)),
+                            ("--seed", getattr(args, "seed", 0))):
             if not 0 <= value < float("inf"):
-                raise UsageError(f"{name} must be finite and non-negative, not {value}")
+                raise ValueError(f"{name} must be finite and non-negative, not {value}")
         if args.group == "dyon" and args.action == "build" and not args.v:
-            raise UsageError("dyon build requires --v")
+            raise ValueError("dyon build requires --v")
         if args.group == "dyon" and args.action == "flux" and not args.infile:
-            raise UsageError("dyon flux requires --in")
+            raise ValueError("dyon flux requires --in")
+        if args.group in ("lattice", "group", "aff", "monodromy"):  # exact: numpy stays unloaded
+            return args.func(args, tol)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused
             return args.func(args, tol)
     except INVALID_INPUT as exc:

@@ -182,7 +182,7 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
                                 [k + c * (c * f + y) for k, f, y in zip(K, F[a][a], Y[0])],
                                 [[y + c * (f + g) for y, f, g in zip(Yd, F[a][d], F[d][a])]
                                  for d, Yd in enumerate(Y[1:], a + 1)])
-    w = [-x for x in siegel.pairing(*[xm.identity(dim)] * 2, t)]    # -Omega_t
+    w = [-x for x in siegel._omega_entries(t)]    # -Omega_t
     for P, K, l in prefixes(0, [0] * len(cells), w, [[0] * len(w)] * len(basis)):
         if (c := _last_coefficient(F[-1][-1], l, K, P, basis[-1], entry_bound)) is not None:
             return shape([x + c * y for x, y in zip(P, basis[-1])]), "found"

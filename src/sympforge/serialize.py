@@ -11,9 +11,9 @@ import json
 import os
 from fractions import Fraction
 
-import numpy as np
+from . import lazy, siegel
 
-from . import reduction3d, siegel, taming
+np, reduction3d, taming = lazy("numpy", "sympforge.reduction3d", "sympforge.taming")
 
 
 def int_matrix_to_json(A):

@@ -9,6 +9,7 @@ tested with equality rather than tolerances.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from . import exactmat as xm
@@ -45,11 +46,14 @@ def pairing(X, Y, t):
             for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
+@cache
+def _omega_entries(t):  # pairing(I, I, t): the entries i < j of Omega_t, once per type; read only
+    return pairing(*[xm.identity(2 * len(t))] * 2, t)
+
+
 def preserves_form(S, t):
     """S^T Omega_t S == Omega_t for exact square S, on the entries i < j of both sides."""
-    n = len(t)
-    return pairing(S, S, t) == [t[i] if j == i + n else 0
-                                for i in range(2 * n) for j in range(i + 1, 2 * n)]
+    return pairing(S, S, t) == _omega_entries(t)
 
 
 def _diag_conjugate(S, c):

@@ -74,12 +74,12 @@ def test_group_min_type(tmp_path, capsys):
     assert report["type"] == [2]
 
 
+AFF_PAIR = {"g1": {"a": [["1", "2"], ["0", "1"]], "gamma": [["1", "1"], ["0", "1"]], "type": [1]},
+            "g2": {"a": [["1", "4"], ["1", "4"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}}
+
+
 def test_aff_compose(tmp_path, capsys):
-    g1 = {"a": [["1", "2"], ["0", "1"]], "gamma": [["1", "1"], ["0", "1"]],
-          "type": [1]}
-    g2 = {"a": [["1", "4"], ["1", "4"]], "gamma": [["1", "0"], ["0", "1"]],
-          "type": [1]}
-    path = write(tmp_path, "aff.json", {"g1": g1, "g2": g2})
+    path = write(tmp_path, "aff.json", AFF_PAIR)
     code, report = run(capsys, ["aff", "compose", "--in", path])
     assert code == 0
     assert report["result"]["a"] == [["0", "1"], ["1", "4"]]
@@ -247,6 +247,13 @@ def test_selftest_unknown_module(capsys):
     code, report = run(capsys, ["selftest", "nonsense"])
     assert code == 2
     assert report["status"] == "invalid_input"
+
+
+def test_selftest_negative_seed_is_refused_before_any_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli.selftest, "run", lambda *args: pytest.fail("a suite ran"))
+    code, report = run(capsys, ["selftest", "all", "--seed", "-1"])
+    assert code == 2
+    assert report["status"] == "invalid_input" and "--seed" in report["error"]
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -436,6 +443,56 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
+
+IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from sympforge import cli
+argv, payload = json.loads(sys.argv[1])
+sys.stdin = io.StringIO(json.dumps(payload))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(argv)
+print(json.dumps([code, json.loads(out.getvalue())["status"],
+                  sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def cli_main_in_fresh_interpreter(argv, payload):
+    """(exit code, report status, numpy submodules loaded) of cli.main(argv), stdin payload."""
+    proc = run_python("-c", IN_FRESH_INTERPRETER, json.dumps([argv, payload]))
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, payload, code", [
+    (["lattice", "type", "--in", "-"], [[0, 3], [-3, 0]], 0),
+    (["group", "check", "--matrix", "-", "--type", "2"], [[1, 1], [0, 1]], 0),
+    (["aff", "compose", "--in", "-"], AFF_PAIR, 0),
+    (["monodromy", "conjugacy", "--in", "-", "--bound", "2"],
+     {"rep1": [[[1, 1], [0, 1]]], "rep2": [[[0, 1], [-1, 2]]], "type": [1]}, 0),
+    (["lattice", "type", "--in", "-"], [], 2),
+], ids=["lattice_type", "group_check", "aff_compose", "monodromy_conjugacy", "empty_gram"])
+def test_exact_subcommands_run_no_numpy(argv, payload, code):
+    status = "ok" if code == 0 else "invalid_input"
+    assert cli_main_in_fresh_interpreter(argv, payload) == (code, status, [])
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["taming", "check", "--in", "-"], [[0.0, 1.0], [-1.0, 0.0]]),
+    (["edyn", "build", "--qm", "1"], None),
+], ids=["taming_check", "edyn_build"])
+def test_float_subcommands_load_numpy_on_first_use(argv, payload):
+    code, status, loaded = cli_main_in_fresh_interpreter(argv, payload)
+    assert (code, status) == (0, "ok") and "numpy.linalg" in loaded
+
+
+def test_cli_import_registers_every_layer():
+    # a tracer patches the layers it finds in sys.modules after this import
+    layers = ["cli", "dyons", "exactmat", "forms4d", "monodromy", "reduction3d", "serialize",
+              "siegel", "symplattice", "taming"]
+    proc = run_python("-c", "import sys, sympforge.cli; "
+                            "print(' '.join(m for m in sys.modules if m.startswith('sympforge.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert {f"sympforge.{name}" for name in layers} <= set(proc.stdout.split())
 
 SELFDUAL_UNDER_O = """
 import numpy as np
