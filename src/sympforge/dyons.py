@@ -234,14 +234,15 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):
     period = taming.electrodynamics_period(theta, g_sq)
     h = grid.metric
     E_form = np.einsum("...ab,...b->...a", h, E_vec)[..., None, :]
-    B_form = forms4d.hodge_star(h, np.einsum("...ab,...b->...a", h, B_vec), 1)[..., None, :, :]
+    B_form = forms4d._star(grid.metric_inv, grid.sqrt_det,
+                           np.einsum("...ab,...b->...a", h, B_vec), 1)[..., None, :, :]
     maxwell = reduction3d.em_static_residual(grid, period.R, period.I,
                                              E_form, B_form,
                                              Phi[..., None], Upsilon[..., None])
     # displayed consequence of the potential equations
     pot_gap = float(np.max(np.abs(
         B_vec + (g_sq / (4 * np.pi))
-        * reduction3d.sharp(h, reduction3d.grad_nodes(
+        * reduction3d.sharp(grid, reduction3d.grad_nodes(
             grid, Upsilon - (theta / (2 * np.pi)) * Phi)))[1:-1, 1:-1, 1:-1]))
     return {
         "solution": sol,
@@ -271,9 +272,8 @@ def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq):
             or E_vec.shape[:3] != Phi.shape[:3] or E_vec.shape[:3] != grid.shape:
         raise SampleMismatch("fields must share the grid sample set")
 
-    h = grid.metric
-    grad_phi = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Phi))
-    grad_ups = reduction3d.sharp(h, reduction3d.grad_nodes(grid, Upsilon))
+    grad_phi = reduction3d.sharp(grid, reduction3d.grad_nodes(grid, Phi))
+    grad_ups = reduction3d.sharp(grid, reduction3d.grad_nodes(grid, Upsilon))
     res_e = grad_phi + E_vec                     # grad(-Phi) = E
     res_u = grad_ups + (theta / (2 * np.pi)) * E_vec + (4 * np.pi / g_sq) * B_vec
     div_e = reduction3d.divergence(grid, E_vec)

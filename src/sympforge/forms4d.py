@@ -1,11 +1,11 @@
 """Pointwise exterior algebra on 4d Lorentzian vector spaces.
 
-Every Hodge star in the package goes through one batched kernel,
-hodge_star(g, form, degree), for 3d and 4d metrics: g is one metric,
-inverted once, or one metric per point, inverted per point.  Coordinates
-are ordered (t, x, y, z); the Levi-Civita symbol is normalized by
-eps_{0123} = +1 and multiplied by the orientation flag.  On two-forms the
-Lorentzian Hodge star squares to minus the identity, so the polarized
+Every Hodge star in the package is one batched contraction, _star(g^-1,
+s sqrt|det g|, form, degree), for 3d and 4d metrics: grids pass the factor
+their Grid3 computed once, hodge_star(g, form, degree) inverts g itself.
+Coordinates are ordered (t, x, y, z); the Levi-Civita symbol is normalized
+by eps_{0123} = +1 and multiplied by the orientation flag.  On two-forms
+the Lorentzian Hodge star squares to minus the identity, so the polarized
 operator (star tensor J) squares to plus the identity and splits
 vector-valued two-forms into self-dual and anti-self-dual parts.
 """
@@ -46,21 +46,26 @@ def hodge_star(g, form, degree, orientation=1):
 
         (*w)_{b...} = (s / p!) sqrt|det g| w^{a_1...a_p} eps_{a_1...a_p b...}.
 
-    g is one (d, d) metric, inverted once, or one metric per point of shape
-    (*batch, d, d), inverted per point.  form has shape
+    g is one (d, d) metric or one metric per point of shape (*batch, d, d);
+    either way it is inverted here, by LAPACK.  form has shape
     (*batch, *carried, d, ..., d) with `degree` trailing form axes; carried
     axes (a component index, say) pass through unchanged.
     """
     g = np.asarray(g, dtype=float)
-    form = np.asarray(form, dtype=float)
-    d, batch = g.shape[-1], g.shape[:-2]
+    d = g.shape[-1]
     if g.shape[-2:] != (d, d) or d not in _LEVI_CIVITA:
         raise ValueError("metric must be 3x3 or 4x4, or a field of them")
+    return _star(np.linalg.inv(g), orientation * np.sqrt(np.abs(np.linalg.det(g))), form, degree)
+
+
+def _star(ginv, vol, form, degree):
+    """hodge_star from g^-1 and the signed volume s sqrt|det g|, or fields of them."""
+    form = np.asarray(form, dtype=float)
+    d, batch = ginv.shape[-1], ginv.shape[:-2]
     if (degree not in (1, 2) or form.shape[:len(batch)] != batch
             or form.shape[len(batch):][-degree:] != (d,) * degree):
         raise ValueError(f"form must be (*batch, *carried) + {(d,) * degree}, degree 1 or 2")
-    ginv = np.linalg.inv(g)
-    vol = orientation * np.sqrt(np.abs(np.linalg.det(g))) / factorial(degree)
+    vol = vol / factorial(degree)
     if batch:
         carried = (1,) * (form.ndim - len(batch) - degree)
         ginv = ginv.reshape(batch + carried + (d, d))

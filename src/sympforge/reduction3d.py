@@ -3,11 +3,11 @@ residual on Cartesian grids, and theta-coupled electromagnetostatics.
 
 A static product metric -dt^2 + h splits a 4d two-form into a spatial
 1-form part (the dt-wedge factor) and a spatial 2-form part; the 4d Hodge
-star then factors through the 3d star of h.  Both stars are the batched
-kernel forms4d.hodge_star, given the grid metric as stored: a constant
-metric is inverted once, a per-node one per node.  Solving is done elsewhere --
-this module only evaluates residuals, with second-order central
-differences and the one-cell boundary layer excluded from aggregation.
+star then factors through the 3d star of h.  Grid3 checks h at every node
+and factors it once, as adjugate over determinant; every grid consumer uses
+that h^-1 and sqrt(det h), the 4d lift with g^-1 = (-1) + h^-1.  Solving is
+done elsewhere -- this module only evaluates residuals, with second-order
+central differences and the one-cell boundary layer excluded.
 """
 
 from dataclasses import dataclass
@@ -48,9 +48,20 @@ class Grid3:
         self.metric = np.asarray(self.metric, dtype=float)
         if self.metric.shape not in ((3, 3), self.shape + (3, 3)):
             raise ValueError("metric must be 3x3 or per-node")
-        probe = self.metric if self.metric.shape == (3, 3) else self.metric.reshape(-1, 3, 3)[0]
-        if np.any(np.linalg.eigvalsh(probe) <= 0):
-            raise ValueError("metric must be positive-definite")
+        h, hT = self.metric, np.swapaxes(self.metric, -1, -2)
+        (a, b, c), (d, e, f), (g, k, i) = np.moveaxis(h, (-2, -1), (0, 1))
+        adj = np.array([[e * i - f * k, c * k - b * i, b * f - c * e],
+                        [f * g - d * i, a * i - c * g, c * d - a * f],
+                        [d * k - e * g, b * g - a * k, a * e - b * d]])
+        det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
+        # symmetric as LorentzPoint checks it, and Sylvester's leading minors positive
+        ok = np.all(np.abs(h - hT) <= 1e-10 + 1e-5 * np.abs(hT), axis=(-2, -1))
+        ok &= (a > 0) & (adj[2, 2] > 0) & (det > 0)
+        if not ok.all():
+            node = f" at node {tuple(int(x) for x in np.argwhere(~ok)[0])}" if ok.ndim else ""
+            raise ValueError(f"metric must be symmetric positive-definite{node}")
+        self.metric_inv = np.ascontiguousarray(np.moveaxis(adj / det, (0, 1), (-2, -1)))
+        self.sqrt_det = np.sqrt(det)
 
     def axes(self):
         return [self.origin[k] + self.spacing[k] * np.arange(self.shape[k])
@@ -65,9 +76,11 @@ class Grid3:
 # ---------------------------------------------------------------------------
 # index raising (broadcast over leading axes)
 
-def sharp(h, E):
-    """Index raising of a 1-form."""
-    return np.einsum("...ab,...b->...a", np.linalg.inv(np.asarray(h, dtype=float)), E)
+def sharp(grid, E):
+    """Index raising of a 1-form field of shape (*grid.shape, ..., 3)."""
+    hinv = grid.metric_inv
+    hinv = hinv.reshape(hinv.shape[:-2] + (1,) * (E.ndim - hinv.ndim + 1) + (3, 3))
+    return np.einsum("...ab,...b->...a", hinv, E)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +145,10 @@ class BogomolnyPair:
         self.V = np.asarray(self.V, dtype=float)
         if self.V.shape[-2:] != (3, 3):
             raise ValueError("V must have trailing 3x3 axes")
-        if not np.allclose(self.V, -np.swapaxes(self.V, -1, -2), atol=1e-12):
+        # np.allclose(V, -V^T, atol=1e-12), which a finite V within atol passes without
+        V, Vt = self.V, np.swapaxes(self.V, -1, -2)
+        if not ((np.isfinite(V).all() and np.abs(V + Vt).max(initial=0.0) <= 1e-12)
+                or np.allclose(V, -Vt, atol=1e-12)):
             raise ValueError("V must be antisymmetric in its form indices")
         if self.psi.shape != self.V.shape[:-2]:
             raise ValueError("psi and V node/rank shapes disagree")
@@ -163,7 +179,7 @@ def bogomolny_residual(grid, J, pair):
     two_n = pair.psi.shape[-1]
     if J.shape[-2:] != (two_n, two_n):
         raise RankMismatch("taming size does not match field rank")
-    star_v = forms4d.hodge_star(grid.metric, pair.V, 2)  # (*shape, 2n, 3)
+    star_v = forms4d._star(grid.metric_inv, grid.sqrt_det, pair.V, 2)  # (*shape, 2n, 3)
     eq_field = np.einsum("...jk,...ka->...ja", J, star_v) - grad_nodes(grid, pair.psi)
     # discrete exterior derivative of the 2-form: one 3-form component
     dV = (np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
@@ -186,10 +202,10 @@ def lift_to_4d(pair, grid, J):
     J = np.asarray(J, dtype=float)
     dpsi = grad_nodes(grid, pair.psi)
     vhat = reassemble_form(dpsi, pair.V)      # (*shape, 2n, 4, 4)
-    g = np.zeros(grid.metric.shape[:-2] + (4, 4))  # -dt^2 + h, once or per node
-    g[..., 0, 0] = -1.0
-    g[..., 1:, 1:] = grid.metric
-    resid = forms4d.hodge_star(g, vhat, 2) + np.einsum("jk,...kab->...jab", J, vhat)
+    ginv = np.zeros(grid.metric_inv.shape[:-2] + (4, 4))  # g = -dt^2 + h, once or per node
+    ginv[..., 0, 0] = -1.0
+    ginv[..., 1:, 1:] = grid.metric_inv
+    resid = forms4d._star(ginv, grid.sqrt_det, vhat, 2) + np.einsum("jk,...kab->...jab", J, vhat)
     return {"field": vhat, "residual": _interior_max(resid), "residual_field": resid}
 
 
@@ -198,7 +214,7 @@ def divergence(grid, X):
 
     X has shape (*shape, ..., 3) with contravariant last index.
     """
-    vol = np.sqrt(np.linalg.det(grid.metric))
+    vol = grid.sqrt_det
     volX = vol[(...,) + (None,) * (X.ndim - 4)] * np.moveaxis(X, -1, 0)
     out = sum(np.gradient(volX[k], grid.spacing[k], axis=k, edge_order=2)
               for k in range(3))
@@ -228,11 +244,10 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
         E = E[..., None, :]
         B = B[..., None, :, :]
 
-    h = grid.metric[..., None, :, :]
-    Evec = sharp(h, E)
-    Bvec = sharp(h, forms4d.hodge_star(grid.metric, B, 2))
-    grad_phi_vec = sharp(h, grad_nodes(grid, Phi))
-    grad_ups_vec = sharp(h, grad_nodes(grid, Upsilon))
+    Evec = sharp(grid, E)
+    Bvec = sharp(grid, forms4d._star(grid.metric_inv, grid.sqrt_det, B, 2))
+    grad_phi_vec = sharp(grid, grad_nodes(grid, Phi))
+    grad_ups_vec = sharp(grid, grad_nodes(grid, Upsilon))
 
     res1 = Evec + grad_phi_vec
     res2 = (np.einsum("jk,...ka->...ja", I, Bvec)

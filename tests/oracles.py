@@ -1,13 +1,17 @@
 """Brute-force oracles that the library's closed forms and lattice methods
 replaced: Gauss-Jordan inversion over the rationals, the conjugator search
-over the whole entry box, and the enumeration of the intertwiner lattice
-that tries every value of the last coefficient."""
+over the whole entry box, the enumeration of the intertwiner lattice that
+tries every value of the last coefficient, and the grid residuals that
+invert the metric (or the whole 4d metric -dt^2 + h) by LAPACK at every
+node instead of reading the factor Grid3 computes once."""
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from sympforge import exactmat as xm
-from sympforge import monodromy, siegel
+from sympforge import forms4d, monodromy, reduction3d, siegel
 
 
 def inverse(A):
@@ -113,3 +117,47 @@ def candidate_index(gamma, entry_bound):
     for x in (x for row in gamma for x in row):
         idx = idx * (2 * entry_bound + 1) + x + entry_bound
     return idx + 1
+
+
+def bogomolny_eq_field(grid, J, pair):
+    """The eq_field of reduction3d.bogomolny_residual, with the grid metric
+    inverted inside forms4d.hodge_star."""
+    star_v = forms4d.hodge_star(grid.metric, pair.V, 2)
+    return np.einsum("...jk,...ka->...ja", J, star_v) - reduction3d.grad_nodes(grid, pair.psi)
+
+
+def lift_residual_field(pair, grid, J):
+    """The residual_field of reduction3d.lift_to_4d, from an explicit 4x4
+    metric -dt^2 + h, once or per node, inverted by LAPACK."""
+    vhat = reduction3d.reassemble_form(reduction3d.grad_nodes(grid, pair.psi), pair.V)
+    g = np.zeros(grid.metric.shape[:-2] + (4, 4))
+    g[..., 0, 0] = -1.0
+    g[..., 1:, 1:] = grid.metric
+    return forms4d.hodge_star(g, vhat, 2) + np.einsum("jk,...kab->...jab", J, vhat)
+
+
+def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
+    """reduction3d.em_static_residual for 2-d E, B, Phi and Upsilon arrays
+    with a component axis, inverting the metric and taking its determinant
+    at every sharp and divergence."""
+    h = grid.metric[..., None, :, :]
+
+    def sharp(X):
+        return np.einsum("...ab,...b->...a", np.linalg.inv(h), X)
+
+    def divergence(X):
+        vol = np.sqrt(np.linalg.det(grid.metric))[..., None]
+        return sum(np.gradient(vol * X[..., k], grid.spacing[k], axis=k, edge_order=2)
+                   for k in range(3)) / vol
+
+    Evec, Bvec = sharp(E), sharp(forms4d.hodge_star(grid.metric, B, 2))
+    mix = np.einsum("jk,...ka->...ja", R, Bvec) + np.einsum("jk,...ka->...ja", I, Evec)
+    fields = {
+        "electric_potential": Evec + sharp(reduction3d.grad_nodes(grid, Phi)),
+        "magnetic_potential": (np.einsum("jk,...ka->...ja", I, Bvec)
+                               + np.einsum("jk,...ka->...ja", R, Evec)
+                               + sharp(reduction3d.grad_nodes(grid, Upsilon))),
+        "magnetic_gauss": divergence(Bvec),
+        "dual_gauss": divergence(mix),
+    }
+    return {key: reduction3d._interior_max(val) for key, val in fields.items()}

@@ -153,6 +153,33 @@ def test_bogomolny_residual(tmp_path, capsys):
     assert report["eq_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("fault,where", [("negative_at_node", " at node (2, 2, 2)"),
+                                         ("not_symmetric", ""),
+                                         ("zero_at_node", " at node (1, 0, 2)")],
+                         ids=["negative_at_node", "not_symmetric", "zero_at_node"])
+def test_bogomolny_residual_refuses_bad_metric(fault, where, tmp_path, capsys):
+    # the parent printed "passes": true for the first two and numpy's bare
+    # "Singular matrix" for the third
+    metric = np.broadcast_to(np.eye(3), (3, 3, 3, 3, 3)).copy()
+    if fault == "negative_at_node":
+        metric[2, 2, 2] = np.diag([1.0, 1.0, -1.0])
+    elif fault == "zero_at_node":
+        metric[1, 0, 2] = 0.0
+    else:
+        metric = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    fields = {name: {"data": np.zeros(shape).tolist(), "shape": list(shape)}
+              for name, shape in (("psi", (3, 3, 3, 2)), ("V", (3, 3, 3, 2, 3, 3)))}
+    header = {"shape": [3, 3, 3], "spacing": [0.1] * 3, "origin": [1.0] * 3,
+              "metric": metric.tolist(), "J": [[0.0, 1.0], [-1.0, 0.0]], "fields": fields}
+    code = cli.main(["bogomolny", "residual", "--in", write(tmp_path, "grid.json", header)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = strict_loads(captured.out)
+    assert report["status"] == "invalid_input"
+    assert report["error"] == f"metric must be symmetric positive-definite{where}"
+    assert captured.err == f"error: {report['error']}\n"
+
+
 def test_dyon_build(capsys):
     code, report = run(capsys, ["dyon", "build", "--type", "1", "--v", "0,1",
                                 "--vprime", "0,0", "--J", "std"])

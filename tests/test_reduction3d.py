@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from sympforge import dyons, forms4d, reduction3d, taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -213,3 +216,135 @@ def test_constant_metric_matches_same_metric_per_node():
           for grid in grids]
     for key, val in em[0].items():
         assert abs(val - em[1][key]) < 1e-12 * max(1.0, val)
+
+
+def metric_field(rng, shape):
+    """Seeded positive-definite metrics, one per node, of condition <= 16 and
+    overall scale from 1e-2 to 1e2."""
+    Q = np.linalg.qr(rng.standard_normal(shape + (3, 3)))[0]
+    lam = rng.uniform(1.0, 16.0, shape + (3,)) * 10.0 ** rng.uniform(-2, 2, shape + (1,))
+    return np.einsum("...ab,...b,...cb->...ac", Q, lam, Q)
+
+
+def test_grid_factor_matches_lapack():
+    rng = np.random.default_rng(12)
+    for shape in ((3, 3, 3), (5, 4, 6), (9, 9, 9)):
+        h = metric_field(rng, shape)
+        for metric in (h, h[0, 0, 0]):
+            grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric)
+            inv, det = np.linalg.inv(metric), np.linalg.det(metric)
+            err = (np.linalg.norm(grid.metric_inv - inv, axis=(-2, -1))
+                   / np.linalg.norm(inv, axis=(-2, -1)))
+            assert np.max(err) < 1e-12
+            assert np.max(np.abs(grid.sqrt_det ** 2 - det) / det) < 1e-12
+
+
+def test_grid_consumers_match_lapack_oracles():
+    rng = np.random.default_rng(13)
+    shape = (5, 6, 4)
+    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    psi = rng.standard_normal(shape + (4,))
+    A = rng.standard_normal(shape + (4, 3, 3))
+    pair = reduction3d.BogomolnyPair(psi, A - np.swapaxes(A, -1, -2))
+    E, B = rng.standard_normal(shape + (2, 3)), pair.V[..., :2, :, :]
+    Phi, Ups = rng.standard_normal(shape + (2,)), rng.standard_normal(shape + (2,))
+    h = metric_field(rng, shape)
+    for metric in (h, h[1, 2, 3], np.eye(3)):
+        grid = reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.15), metric=metric)
+        for got, expect in (
+                (reduction3d.bogomolny_residual(grid, J, pair)["eq_field"],
+                 oracles.bogomolny_eq_field(grid, J, pair)),
+                (reduction3d.lift_to_4d(pair, grid, J)["residual_field"],
+                 oracles.lift_residual_field(pair, grid, J))):
+            assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
+        em = reduction3d.em_static_residual(grid, np.eye(2), 2 * np.eye(2), E, B, Phi, Ups)
+        for key, val in oracles.em_static_residual(grid, np.eye(2), 2 * np.eye(2),
+                                                   E, B, Phi, Ups).items():
+            assert abs(em[key] - val) < 1e-12 * val
+
+
+@pytest.mark.parametrize("fault,where", [("negative", " at node (2, 1, 0)"),
+                                         ("zero", " at node (0, 2, 1)"),
+                                         ("not_symmetric", ""), ("nan", " at node (1, 1, 1)")],
+                         ids=["negative", "zero", "not_symmetric", "nan"])
+def test_grid_rejects_metric_at_any_node(fault, where):
+    metric = np.broadcast_to(np.eye(3), (3, 3, 3, 3, 3)).copy()
+    if fault == "negative":
+        metric[2, 1, 0] = np.diag([1.0, 1.0, -1.0])
+    elif fault == "zero":
+        metric[0, 2, 1] = 0.0
+    elif fault == "nan":
+        metric[1, 1, 1, 0, 2] = np.nan
+    else:
+        metric = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.1,) * 3, metric=metric)
+    assert str(err.value) == f"metric must be symmetric positive-definite{where}"
+
+
+def test_grid_symmetry_tolerance_is_lorentz_points():
+    rng = np.random.default_rng(14)
+    h = metric_field(rng, (3, 3, 3))
+    for step in (1e-11, 0.5e-10, 2e-10, 1e-6, 1e-4, 1e-3):
+        for k in range(2):
+            metric = h.copy()
+            b = metric[1, 2, 0, 1, 0]
+            metric[1, 2, 0, 0, 1] = b + step * (abs(b) if k else 1.0)
+            g = np.zeros((4, 4))
+            g[0, 0], g[1:, 1:] = -1.0, metric[1, 2, 0]
+            try:
+                forms4d.LorentzPoint(g)
+                lorentz_ok = True
+            except ValueError:
+                lorentz_ok = False
+            try:
+                reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.1,) * 3, metric=metric)
+                grid_ok = True
+            except ValueError:
+                grid_ok = False
+            assert grid_ok == lorentz_ok
+
+
+def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
+    """Valid fields and fields perturbed across the 1e-12 (and 1e-5
+    relative) edge get the accept/reject answer of np.allclose(V, -V^T,
+    atol=1e-12), non-finite entries included."""
+    rng = np.random.default_rng(15)
+    shape = (3, 4, 3, 2)
+    grid = dyons.default_far_grid(nodes=5)
+    sol = dyons.dyon_construct(STD_J, [1, -1], [0, 0])
+    cases = [sol.sample_pair(grid).V]
+    for _ in range(300):
+        A = rng.standard_normal(shape + (3, 3)) * 10.0 ** rng.uniform(-12, 2, shape + (3, 3))
+        V = A - np.swapaxes(A, -1, -2)
+        idx = tuple(int(rng.integers(s)) for s in shape)
+        a, b = rng.choice(3, 2, replace=False)
+        if rng.random() < 0.3:
+            V[idx + (a, b)] = V[idx + (b, a)] = 0.0
+        edge = 1e-12 + 1e-5 * abs(V[idx + (b, a)])
+        V[idx + (a, b)] = -V[idx + (b, a)] + rng.choice([-1, 1]) * edge * rng.choice(
+            [0.5, 0.99, 0.9999, 1.0, 1.0001, 1.01, 2.0])
+        cases.append(V)
+    for bad in (np.inf, -np.inf, np.nan):
+        for diagonal in (False, True):
+            V = cases[1].copy()
+            V[0, 0, 0, 0, 0, 0 if diagonal else 1] = bad
+            cases.append(V)
+            if not diagonal:
+                W = V.copy()
+                W[0, 0, 0, 0, 1, 0] = -bad
+                cases.append(W)
+    cases.append(np.zeros((3, 3, 3, 0, 3, 3)))
+    answers = set()
+    for V in cases:
+        parent = bool(np.allclose(V, -np.swapaxes(V, -1, -2), atol=1e-12))
+        try:
+            reduction3d.BogomolnyPair(np.zeros(V.shape[:-2]), V)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == parent
+        answers.add(parent)
+    assert answers == {True, False}
