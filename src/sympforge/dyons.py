@@ -9,6 +9,7 @@ principal connection; flux_quantization checks that through quadrature.
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -158,6 +159,20 @@ class FluxReport:
     chern: np.ndarray
 
 
+@cache
+def _sphere_nodes():  # points, tangent fields, u-weights of flux_quantization, as read-only views
+    u, wu = np.polynomial.legendre.leggauss(32)
+    U, PHI = np.meshgrid(u, 2 * np.pi * np.arange(64) / 64, indexing="ij")
+    s = np.sqrt(np.maximum(1 - U**2, 0.0))
+    pts = np.stack([s * np.cos(PHI), s * np.sin(PHI), U], axis=-1)
+    # tangents of the (phi, u) parametrization; this ordering gives the
+    # outward orientation with integral +4 pi for the solid-angle form
+    t_phi = np.stack([-s * np.sin(PHI), s * np.cos(PHI), np.zeros_like(U)], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.stack([-U / s * np.cos(PHI), -U / s * np.sin(PHI), np.ones_like(U)], axis=-1)
+    return tuple(np.broadcast_to(x, x.shape) for x in (pts, t_phi, np.nan_to_num(du), wu))
+
+
 def flux_quantization(sol):
     """Quadrature of the curvature over the unit sphere.
 
@@ -165,22 +180,10 @@ def flux_quantization(sol):
     value is -2 pi v.  Membership is tested for both signs of flux / 2 pi
     (the orientation of the sphere is a convention) against Z^{2n}.
     """
-    u, wu = np.polynomial.legendre.leggauss(32)
-    phi = 2 * np.pi * np.arange(64) / 64
-    wphi = 2 * np.pi / 64
-    U, PHI = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(np.maximum(1 - U**2, 0.0))
-    pts = np.stack([s * np.cos(PHI), s * np.sin(PHI), U], axis=-1)
-    # tangents of the (phi, u) parametrization; this ordering gives the
-    # outward orientation with integral +4 pi for the solid-angle form
-    t_phi = np.stack([-s * np.sin(PHI), s * np.cos(PHI), np.zeros_like(U)], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.stack([-U / s * np.cos(PHI), -U / s * np.sin(PHI),
-                       np.ones_like(U)], axis=-1)
-    du = np.nan_to_num(du)
+    pts, t_phi, du, wu = _sphere_nodes()
     V = sol.V_at(pts)  # (..., 2n, 3, 3)
     integrand = np.einsum("...jab,...a,...b->...j", V, t_phi, du)
-    flux = np.einsum("uvj,u->j", integrand, wu) * wphi
+    flux = np.einsum("uvj,u->j", integrand, wu) * (2 * np.pi / 64)
     if not np.all(np.isfinite(flux)):
         raise QuadratureFailure("non-finite quadrature result")
     normalized = flux / (2 * np.pi)

@@ -88,7 +88,7 @@ class LorentzPoint:
         self.metric = np.asarray(self.metric, dtype=float)
         if self.metric.shape != (4, 4):
             raise ValueError("metric must be 4x4")
-        if not np.allclose(self.metric, self.metric.T, atol=1e-10):
+        if not taming.close_to_transpose(self.metric, 1, 1e-10):
             raise ValueError("metric must be symmetric")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -104,7 +104,7 @@ def as_two_form(coeffs):
         V = V[None, :, :]
     if V.shape[-2:] != (4, 4):
         raise ValueError("two-form coefficients must be k x 4 x 4")
-    if not np.allclose(V, -np.swapaxes(V, -1, -2), atol=1e-12):
+    if not taming.close_to_transpose(V, -1, 1e-12):
         raise ValueError("coefficients must be antisymmetric")
     return V
 
@@ -123,24 +123,23 @@ def polarized_star(p, J, V):
     J = np.asarray(J, dtype=float)
     if J.shape[0] != V.shape[0]:
         raise RankMismatch(f"J is {J.shape[0]}-dim but form has rank {V.shape[0]}")
-    return np.einsum("jk,kab->jab", J, hodge_star2(p, V))
+    return np.einsum("jk,kab->jab", J, hodge_star(p.metric, V, 2, p.orientation))
 
 
 def selfdual_project(p, J, V):
     """Split V into (self-dual, anti-self-dual) halves of the polarized star."""
-    V = as_two_form(V)
-    sV = polarized_star(p, J, V)
+    sV = polarized_star(p, J, V)                          # validates V
+    V = np.reshape(np.asarray(V, dtype=float), sV.shape)  # as as_two_form returned it
     return 0.5 * (V + sV), 0.5 * (V - sV)
 
 
 def g_map(p, N, F):
     """Magnetoelectric partner of a field strength: -R F - I (*F)."""
     F = as_two_form(F)
-    if not isinstance(N, taming.PeriodMatrix):
-        N = taming.PeriodMatrix(*N)
+    N = N if isinstance(N, taming.PeriodMatrix) else taming.PeriodMatrix(*N)
     if N.n != F.shape[0]:
         raise DimensionMismatch(f"period matrix rank {N.n} vs form rank {F.shape[0]}")
-    sF = hodge_star2(p, F)
+    sF = hodge_star(p.metric, F, 2, p.orientation)
     return -np.einsum("ij,jab->iab", N.R, F) - np.einsum("ij,jab->iab", N.I, sF)
 
 
@@ -152,12 +151,11 @@ def check_polarized_selfdual(p, N, V, tol=COMPOSED_TOL):
     carries the equivalent global-form residual of (star_{g,J} V - V).
     """
     V = as_two_form(V)
-    if not isinstance(N, taming.PeriodMatrix):
-        N = taming.PeriodMatrix(*N)
+    N = N if isinstance(N, taming.PeriodMatrix) else taming.PeriodMatrix(*N)
     if V.shape[0] != 2 * N.n:
         raise DimensionMismatch("form rank must be twice the period-matrix rank")
     J = taming.theta_forward(N)
-    sV = hodge_star2(p, V)
+    sV = hodge_star(p.metric, V, 2, p.orientation)
     residual = float(np.max(np.abs(sV + np.einsum("jk,kab->jab", J, V))))
     global_residual = float(np.max(np.abs(np.einsum("jk,kab->jab", J, sV) - V)))
     scale = max(1.0, float(np.max(np.abs(V))))

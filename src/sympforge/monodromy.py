@@ -55,8 +55,7 @@ class Representation:
         return Representation(tuple(siegel.SiegelElement.make(m, t) for m in matrices), t)
 
     def evaluate(self, word):
-        m = len(self.images[0].matrix)
-        acc = siegel.SiegelElement.make(xm.identity(m), self.type_ctx)
+        acc = siegel.SiegelElement.make(xm.identity(len(self.images[0].matrix)), self.type_ctx)
         for idx in word:
             g = self.images[abs(idx) - 1]
             acc = acc @ (g if idx > 0 else g.inverse())
@@ -139,10 +138,10 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     in every equation and then the unit vector, the rows with a zero equation part
     are an echelon basis of the intertwiners.  All coefficients but the last fix the
     entries at their leading columns in lexicographic order, the order of the
-    flattened entries; membership is quadratic in the last, which is solved for.
-    Returns (gamma, certificate): the first member found, or None, which is decisive
-    with "trace mismatch" and otherwise means not found within the bound.  Raises
-    BoundTooLargeForBudget first if the (2b + 1)^(rank - 1) choices exceed the budget.
+    flattened entries, skipping prefixes fits rules out; membership is quadratic in
+    the last, which is solved for.  Returns (gamma, certificate): the first member, or
+    None, decisive with "trace mismatch" and else not found within the bound.  Raises
+    BoundTooLargeForBudget past the work of a full walk of (2b + 1)^(rank - 1) = budget leaves.
     """
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
@@ -161,27 +160,48 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
              for a, b in pairs for k, l in cells] + [int(c == (i, j)) for c in cells]
             for i, j in cells]
     basis = [r[-len(cells):] for r in xm.echelon(rows) if not any(r[:-len(cells)])]
-    count = (2 * entry_bound + 1) ** max(len(basis) - 1, 0)
-    if count > budget:
-        raise BoundTooLargeForBudget(f"{count} candidates exceed budget {budget}; "
-                                     "lower the bound")
-    if not basis:
-        return None, "not found within bound"
+    if len(basis) > 1 and 2 * entry_bound + 1 > budget:   # 2b + 1 values of one coefficient
+        raise BoundTooLargeForBudget(f"search exceeds budget {budget}; lower the bound")
     leads = [next(c for c, x in enumerate(r) if x) for r in basis]
     shape = lambda v: [v[i * dim:(i + 1) * dim] for i in range(dim)]
     F = [[siegel.pairing(shape(x), shape(y), t) for y in basis] for x in basis]
+    # fits: entries final at depth a (no later basis row touches them) in the box; rows
+    # final there nonzero, gamma Omega_u gamma^T = Omega_u on them, -Omega_u = t_n Omega_t^-1
+    n, u = dim // 2, [t[-1] // x for x in t] * 2
+    pair = lambda x, y: sum(v * (a * d - c * b) for v, a, c, b, d in zip(u, x, x[n:], y, y[n:]))
+    omega_u = [[u[j] * (i == j + n) - u[i] * (j == i + n) for i in range(dim)] for j in range(dim)]
+    fin = [max(a * (x != 0) for a, x in enumerate(col, 1)) for col in zip(*basis)]
+    done = [max(fin[i * dim:(i + 1) * dim], default=0) for i in range(dim)]
+    if not all(done):       # a row no basis row touches is zero, rank 0 included
+        return None, "not found within bound"
+    cols = [[c for c, d in enumerate(fin) if d == a and c not in leads] for a in range(len(basis))]
+    new_rows = [[i for i, d in enumerate(done) if d == a] for a in range(len(basis))]
+    def fits(P, a):
+        row = lambda i: P[i * dim:(i + 1) * dim]
+        return all(abs(P[c]) <= entry_bound for c in cols[a]) and all(any(row(i)) and all(
+            pair(row(j), row(i)) == omega_u[j][i] for j in range(dim) if done[j] <= a)
+            for i in new_rows[a])
     # depth first over c r_a by the entry at r_a's leading column: P = sum c r so far,
-    # K = P^T Omega P - Omega and Y[d - a] = P^T Omega r_d + r_d^T Omega P (entries i < j)
+    # K = P^T Omega P - Omega and Y[d - a] = P^T Omega r_d + r_d^T Omega P (entries i < j).
+    # Budget: a prefix costs a unit per row of Y it carries; a full walk with B = (2b + 1)^
+    # (rank - 1) <= budget leaves costs < 9 B / 4.  Leaves skip fits: _last_coefficient tests all
+    left = [budget * 9 // 4 + len(basis) * (len(basis) + 1) // 2, budget]   # units, leaves
     def prefixes(a, P, K, Y):
         if a == len(basis) - 1:
             yield P, K, Y[0]
             return
         r, p, s = basis[a], P[leads[a]], basis[a][leads[a]]
         for c in range(-((entry_bound + p) // s), (entry_bound - p) // s + 1):
-            yield from prefixes(a + 1, [x + c * y for x, y in zip(P, r)],
-                                [k + c * (c * f + y) for k, f, y in zip(K, F[a][a], Y[0])],
-                                [[y + c * (f + g) for y, f, g in zip(Yd, F[a][d], F[d][a])]
-                                 for d, Yd in enumerate(Y[1:], a + 1)])
+            left[0] -= len(Y) - 1
+            left[1] -= a + 2 == len(basis)
+            if min(left) < 0:
+                raise BoundTooLargeForBudget(f"search exceeds budget {budget}; lower the bound")
+            Q = [x + c * y for x, y in zip(P, r)]
+            if a + 2 == len(basis) or fits(Q, a + 1):
+                yield from prefixes(a + 1, Q,
+                                    [k + c * (c * f + y) for k, f, y in zip(K, F[a][a], Y[0])],
+                                    [[y + c * (f + g) for y, f, g in zip(Yd, F[a][d], F[d][a])]
+                                     for d, Yd in enumerate(Y[1:], a + 1)])
     w = [-x for x in siegel._omega_entries(t)]    # -Omega_t
     for P, K, l in prefixes(0, [0] * len(cells), w, [[0] * len(w)] * len(basis)):
         if (c := _last_coefficient(F[-1][-1], l, K, P, basis[-1], entry_bound)) is not None:

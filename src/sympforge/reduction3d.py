@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms4d
+from . import forms4d, taming
 from .forms4d import RankMismatch
 
 
@@ -124,12 +124,11 @@ def star_decompose_check(p, omega):
     """
     h = _check_static(p)
     omega = forms4d.as_two_form(omega)
-    lhs_top, lhs_perp = decompose_form(forms4d.hodge_star2(p, omega))
-    top, perp = decompose_form(omega)
-    rhs_top = forms4d.hodge_star(h, perp, 2, p.orientation)
-    rhs_perp = -forms4d.hodge_star(h, top, 1, p.orientation)
-    return float(max(np.max(np.abs(lhs_top - rhs_top)),
-                     np.max(np.abs(lhs_perp - rhs_perp))))
+    lhs = forms4d.hodge_star(p.metric, omega, 2, p.orientation)
+    hinv, vol = np.linalg.inv(h), p.orientation * np.sqrt(np.abs(np.linalg.det(h)))
+    top, perp = omega[..., 0, 1:], omega[..., 1:, 1:]   # decompose_form, validated above
+    return float(max(np.max(np.abs(lhs[..., 0, 1:] - forms4d._star(hinv, vol, perp, 2))),
+                     np.max(np.abs(lhs[..., 1:, 1:] + forms4d._star(hinv, vol, top, 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +144,7 @@ class BogomolnyPair:
         self.V = np.asarray(self.V, dtype=float)
         if self.V.shape[-2:] != (3, 3):
             raise ValueError("V must have trailing 3x3 axes")
-        # np.allclose(V, -V^T, atol=1e-12), which a finite V within atol passes without
-        V, Vt = self.V, np.swapaxes(self.V, -1, -2)
-        if not ((np.isfinite(V).all() and np.abs(V + Vt).max(initial=0.0) <= 1e-12)
-                or np.allclose(V, -Vt, atol=1e-12)):
+        if not taming.close_to_transpose(self.V, -1, 1e-12):
             raise ValueError("V must be antisymmetric in its form indices")
         if self.psi.shape != self.V.shape[:-2]:
             raise ValueError("psi and V node/rank shapes disagree")

@@ -1,10 +1,10 @@
 """Arithmetic of the modified Siegel modular groups and the affine
 symplectic torus automorphism group.
 
-Group elements are exact integer matrices preserving the block Gram matrix
-of a given type; the affine group pairs such a rotation with a torus
-translation stored as exact rationals mod 1, so the group axioms can be
-tested with equality rather than tolerances.
+Group elements are exact integer matrices preserving the block Gram matrix of a
+given type, checked once, in SiegelElement.make (products and inverses stay
+members); the affine group pairs such a rotation with a torus translation stored
+as exact rationals mod 1, so the group axioms are tested with equality.
 """
 
 from dataclasses import dataclass
@@ -87,12 +87,13 @@ class SiegelElement:
         inv = _diag_conjugate(adj, self.type_ctx * 2)
         if inv is None:
             raise NotSymplectic("matrix does not preserve the type-t Gram matrix")
-        return SiegelElement.make(inv, self.type_ctx)
+        return SiegelElement(tuple(map(tuple, inv)), self.type_ctx)
 
     def __matmul__(self, other):
         if self.type_ctx != other.type_ctx:
             raise TypeContextMismatch("elements live in groups of different type")
-        return SiegelElement.make(xm.matmul(self.rows(), other.rows()), self.type_ctx)
+        product = xm.matmul(self.matrix, other.matrix)
+        return SiegelElement(tuple(map(tuple, product)), self.type_ctx)
 
     def is_identity(self):
         return xm.mat_equal(self.rows(), xm.identity(len(self.matrix)))
@@ -174,10 +175,8 @@ class AffElement:
 
     @staticmethod
     def identity_element(t):
-        t = sl.validate_type(t)
-        n = len(t)
-        rot = SiegelElement.make(xm.identity(2 * n), t)
-        return AffElement((Fraction(0),) * (2 * n), rot)
+        rot = SiegelElement.make(xm.identity(2 * len(t)), t)   # make validates t
+        return AffElement((Fraction(0),) * len(rot.matrix), rot)
 
     def is_identity(self):
         return all(x == 0 for x in self.translation) and self.rotation.is_identity()
@@ -251,7 +250,6 @@ def _embed(M, t, upper):
 def random_member(t, rng, word_length=6):
     """Random word in the generator set (and inverses)."""
     gens = generators(t)
-    t = sl.validate_type(t)
     g = SiegelElement.make(xm.identity(2 * len(t)), t)
     for _ in range(word_length):
         pick = gens[rng.randrange(len(gens))]

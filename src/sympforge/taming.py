@@ -18,6 +18,15 @@ ALG_TOL = 1e-10    # single algebraic identities on well-conditioned input
 ROUNDTRIP_TOL = 1e-9
 
 
+@np.errstate(invalid="ignore")     # inf - inf
+def close_to_transpose(x, sign, atol):
+    """numpy's allclose(x, sign x^T, atol=atol) on the last two axes: the same acceptance set."""
+    y = sign * np.swapaxes(x, -1, -2)
+    d = np.abs(x - y)       # within atol everywhere, as most inputs are, implies finite
+    return bool(d.max(initial=0.0) <= atol
+                or (((d <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
+
+
 class SingularImaginaryPart(ValueError):
     pass
 
@@ -40,10 +49,9 @@ class PeriodMatrix:
         self.I = np.asarray(self.I, dtype=float)
         if self.R.shape != self.I.shape or self.R.ndim != 2:
             raise ValueError("R and I must be square matrices of equal shape")
-        if not np.allclose(self.R, self.R.T, atol=1e-12):
-            raise ValueError("R must be symmetric")
-        if not np.allclose(self.I, self.I.T, atol=1e-12):
-            raise ValueError("I must be symmetric")
+        for name, M in (("R", self.R), ("I", self.I)):
+            if not close_to_transpose(M, 1, 1e-12):
+                raise ValueError(f"{name} must be symmetric")
         try:
             np.linalg.cholesky(self.I)
         except np.linalg.LinAlgError:

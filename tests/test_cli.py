@@ -352,10 +352,10 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     elif case == "float_matrix_entry":
         argv = ["group", "min-type", "--matrix", write(tmp_path, "t.json", [[1, 0.5], [0, 1]])]
     elif case == "over_budget":
-        identity = np.eye(4, dtype=int).tolist()
-        reps = {"rep1": [identity], "rep2": [identity], "type": [1, 1]}
+        # 2 * 10^6 + 1 choices of the first coefficient alone pass the default budget
+        reps = {"rep1": [[[1, 1], [0, 1]]], "rep2": [[[1, -1], [0, 1]]], "type": [1]}
         argv = ["monodromy", "conjugacy", "--in", write(tmp_path, "conj.json", reps),
-                "--bound", "1"]
+                "--bound", "1000000"]
     elif case == "null_affine_element":
         g = {"a": [["1", "2"], ["0", "1"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}
         argv = ["aff", "compose", "--in", write(tmp_path, "aff.json", {"g1": None, "g2": g})]

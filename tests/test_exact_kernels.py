@@ -150,14 +150,35 @@ def test_closed_form_inverse_matches_gauss_jordan(t):
         assert (g @ inv).is_identity() and (inv @ g).is_identity()
 
 
-@pytest.mark.parametrize("S, t", [(((2, 0), (0, 1)), (2,)),   # integral candidate inverse
-                                  (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
-                                   (1, 2))])                  # non-integral one
-def test_closed_form_inverse_rejects_a_non_member(S, t):
+def test_closed_form_inverse_rejects_a_non_integral_candidate():
+    # products and inverses trust make's check, so a non-member built past make
+    # is caught only where its candidate inverse is not integral
+    S, t = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)), (1, 2)
     bad = siegel.SiegelElement(S, t)          # bypasses the check in make
     assert not member_oracle(S, t)
     with pytest.raises(siegel.NotSymplectic):
         bad.inverse()
+
+
+@pytest.mark.parametrize("t", MEMBER_TYPES)
+def test_values_built_from_members_stay_members(t):
+    # products and inverses skip the membership test that make runs, so everything
+    # built from make's members is checked here, against the full product too
+    rng = random.Random(7 + sum(t))
+    member = lambda g: siegel.is_member(g.rows(), t) and member_oracle(g.rows(), t)
+    for _ in range(10):
+        a, b, g = (siegel.SiegelElement.make(siegel.random_member(t, rng, 4).rows(), t)
+                   for _ in range(3))
+        assert all(member(x) for x in (a @ b, a.inverse(), (a @ b).inverse() @ a))
+        rep = monodromy.Representation.make([a.rows(), b.rows()], t)
+        word = [rng.choice([1, -1, 2, -2]) for _ in range(5)]
+        assert member(rep.evaluate(word)) and member(rep.conjugated(g).evaluate(word))
+        assert all(member(x) for x in rep.conjugated(g.rows()).images)
+        shift = lambda: [Fraction(rng.randrange(7), 7) for _ in range(2 * len(t))]
+        h = siegel.aff_compose(siegel.AffElement.make(shift(), a),
+                               siegel.AffElement.make(shift(), b))
+        assert member(h.rotation) and member(siegel.aff_inverse(h).rotation)
+        assert siegel.aff_compose(h, siegel.aff_inverse(h)).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +387,7 @@ def test_conjugacy_matches_box_search_in_dimension_two():
             rep2 = monodromy.Representation(tuple(siegel.random_member(t, rng, word_length=3)
                                                   for _ in rep.images), t)
         bound = rng.choice([-1, 0, 1, 2, 2, 3, 3, 3])
-        budget = rng.choice([2_000_000, 2_000_000, 60, 6])
+        budget = rng.choice([2_000_000, 2_000_000, 60, 1])   # with 6, no draw is refused
         got = conjugacy_outcome(monodromy.conjugacy_test_bounded, rep, rep2, bound, budget)
         boxed = conjugacy_outcome(box_conjugacy_test, rep, rep2, bound, budget)
         if got[0] is refused:
@@ -414,8 +435,8 @@ def same_as_lattice_enumeration(rep, rep2, bound, budget):
     ref = conjugacy_outcome(lattice_conjugacy_test, rep, rep2, bound, budget)
     if got[0] is refused:
         assert ref[0] is refused
-    elif ref[0] is refused:
-        assert got == lattice_conjugacy_test(rep, rep2, bound, 2_000_000)
+    elif ref[0] is refused:         # 3^16 points: the rank-16 lattice of dimension 4
+        assert got == lattice_conjugacy_test(rep, rep2, bound, 3 ** 16)
     else:
         assert got == ref
     return got
@@ -442,8 +463,9 @@ def test_conjugacy_matches_lattice_enumeration_in_dimension_two():
 
 def test_conjugacy_matches_lattice_enumeration_in_dimension_four():
     # images as in the exact benchmark: short words, among them shears and the
-    # identity, conjugated by a member with entries in [-1, 1].  Draws are kept
-    # until each lattice rank has its quota; no draw reaches rank 7 or 9
+    # identity, conjugated by a member with entries in [-1, 1], searched with its
+    # budget of 500.  Draws are kept until each lattice rank has its quota; no draw
+    # reaches rank 7 or 9.  Ranks 8 to 16, 3^(rank - 1) > 500, were refused up front
     rng = random.Random(29)
     t = (1, 1)
     want = {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3, 8: 2, 10: 2, 16: 1}
@@ -461,8 +483,40 @@ def test_conjugacy_matches_lattice_enumeration_in_dimension_four():
         rank = len(intertwiner_basis(rep, rep2))
         if seen.get(rank, 0) < want.get(rank, 0):
             seen[rank] += 1
-            same_as_lattice_enumeration(rep, rep2, 1, 3 ** 9)
+            got = same_as_lattice_enumeration(rep, rep2, 1, 500)
+            assert got[0] is not monodromy.BoundTooLargeForBudget
     assert seen == want
+
+
+# draws of the exact benchmark (perfbench/exact.py) at bound 1 that the up-front
+# count (2b + 1)^(rank - 1) > 500 refused: (seed, round), images of rep1, then of rep2
+I4 = xm.identity(4)
+REFUSED_DRAWS = [
+    ((15, 26), [I4, [[1, 0, -1, -1], [0, 1, -1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+     [I4, [[1, 0, 0, -1], [0, 1, -1, -1], [0, 0, 1, 0], [0, 0, 0, 1]]]),
+    ((17, 35), [I4, [[1, 0, -1, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+     [I4, [[1, 0, 0, 1], [0, 1, 1, -1], [0, 0, 1, 0], [0, 0, 0, 1]]]),
+    ((9, 7), [[[1, 0, -2, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], I4],
+     [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 2, 0, 1]], I4]),
+    ((8, 52), [[[1, 0, 1, -1], [0, 1, -1, 2], [0, 0, 1, 0], [0, 0, 0, 1]], I4],
+     [[[1, 0, 2, -1], [0, 1, -1, 1], [0, 0, 1, 0], [0, 0, 0, 1]], I4]),
+    ((2, 52), [[[2, -1, 1, -1], [0, 2, -1, 0], [0, 1, 0, 0], [1, -1, 1, 0]], I4],
+     [[[0, 1, 1, -1], [0, 0, -1, 0], [0, 1, 2, 0], [1, -1, -1, 2]], I4]),
+]
+
+
+@pytest.mark.parametrize("draw, images1, images2", REFUSED_DRAWS,
+                         ids=[f"s{s}r{r}" for (s, r), _, _ in REFUSED_DRAWS])
+def test_conjugacy_answers_draws_the_up_front_count_refused(draw, images1, images2):
+    rep1, rep2 = (monodromy.Representation.make(m, (1, 1)) for m in (images1, images2))
+    assert 3 ** (len(intertwiner_basis(rep1, rep2)) - 1) > 500
+    answer = lattice_conjugacy_test(rep1, rep2, 1, 3 ** 16)
+    if draw == (2, 52):     # rows 1 to 3 only final at the leaf: 895 leaves
+        with pytest.raises(monodromy.BoundTooLargeForBudget):
+            monodromy.conjugacy_test_bounded(rep1, rep2, 1, 500)
+        assert monodromy.conjugacy_test_bounded(rep1, rep2, 1, 2_000) == answer
+    else:
+        assert monodromy.conjugacy_test_bounded(rep1, rep2, 1, 500) == answer
 
 
 def test_conjugacy_solves_a_rank_six_lattice_the_enumeration_refuses():
@@ -495,32 +549,54 @@ def test_conjugacy_of_a_rank_zero_lattice_is_not_found():
     rep1 = monodromy.Representation.make([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], (1,))
     rep2 = monodromy.Representation.make([xm.identity(2)] * 2, (1,))
     assert intertwiner_basis(rep1, rep2) == []
-    assert monodromy.conjugacy_test_bounded(rep1, rep2, 2, 1) == \
-        (None, "not found within bound")
-    with pytest.raises(monodromy.BoundTooLargeForBudget):
-        monodromy.conjugacy_test_bounded(rep1, rep2, 2, 0)
+    # a search with no intertwiner walks nothing, so no budget refuses it
+    for budget in (1, 0):
+        assert monodromy.conjugacy_test_bounded(rep1, rep2, 2, budget) == \
+            (None, "not found within bound")
 
 
 # ---------------------------------------------------------------------------
 # budget guard
 
-def test_budget_guard_fires_before_any_candidate(monkeypatch):
-    # identity images commute with every matrix: a rank-16 lattice, 3^15 > 500
+def test_budget_guard_bounds_the_walk(monkeypatch):
+    # identity images commute with every matrix: a rank-16 lattice, whose 3^15 > 500
+    # choices the up-front count refused; the walk finds a member in a few leaves
     t = (1, 1)
     rep = monodromy.Representation.make([xm.identity(4)] * 2, t)
-    calls, pairing = [], siegel.pairing
-    monkeypatch.setattr(siegel, "pairing", lambda *args: calls.append(args) or pairing(*args))
+    gamma_found, cert = monodromy.conjugacy_test_bounded(rep, rep, 1, budget=500)
+    assert cert == "found" and siegel.is_member(gamma_found, t)
+    leaves, solve = [], monodromy._last_coefficient
+    monkeypatch.setattr(monodromy, "_last_coefficient",
+                        lambda *args: leaves.append(args) or solve(*args))
+    # no member: 101 choices of the first coefficient, refused before any leaf when
+    # they alone pass the budget, else all tried
+    rep1 = monodromy.Representation.make([[[1, 1], [0, 1]]], (1,))
+    rep2 = monodromy.Representation.make([[[1, -1], [0, 1]]], (1,))
     with pytest.raises(monodromy.BoundTooLargeForBudget):
-        monodromy.conjugacy_test_bounded(rep, rep, 1, budget=500)
-    assert calls == []
-    # once the budget admits the search, it pairs the basis rows
-    monodromy.conjugacy_test_bounded(rep, rep, 0, budget=500)
-    assert calls
+        monodromy.conjugacy_test_bounded(rep1, rep2, 50, budget=100)
+    assert leaves == []
+    assert monodromy.conjugacy_test_bounded(rep1, rep2, 50, budget=101) == \
+        (None, "not found within bound")
+    assert len(leaves) == 101
+    # the walk that needs 895 leaves stops within its budget of them
+    (_, images1, images2), = [d for d in REFUSED_DRAWS if d[0] == (2, 52)]
+    rep1, rep2 = (monodromy.Representation.make(m, (1, 1)) for m in (images1, images2))
+    for budget in (50, 500):
+        leaves.clear()
+        with pytest.raises(monodromy.BoundTooLargeForBudget):
+            monodromy.conjugacy_test_bounded(rep1, rep2, 1, budget)
+        assert 0 < len(leaves) <= budget
     monkeypatch.undo()
-    # a budget equal to the count, 3^3 = 27 choices of the first three coefficients
-    # of the rank-4 lattice of the identity in dimension 2, is not exceeded
-    rep1 = monodromy.Representation.make([xm.identity(2)], (1,))
-    with pytest.raises(monodromy.BoundTooLargeForBudget):
-        monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=26)
-    gamma_found, cert = monodromy.conjugacy_test_bounded(rep1, rep1, 1, budget=27)
-    assert cert == "found" and siegel.is_member(gamma_found, (1,))
+    # a budget equal to the old up-front count (2b + 1)^(rank - 1) admits the search
+    rng = random.Random(37)
+    for k in range(120):
+        t = [(1,), (2,), (1, 1), (1, 2)][k % 4]
+        rep = monodromy.Representation(
+            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 2))), t)
+        rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=rng.randint(0, 2)))
+        bound = rng.randint(0, 2 if len(t) == 1 else 1)
+        budget = (2 * bound + 1) ** max(len(intertwiner_basis(rep, rep2)) - 1, 0)
+        if budget <= 3 ** 10:
+            assert monodromy.conjugacy_test_bounded(rep, rep2, bound, budget) == \
+                monodromy.conjugacy_test_bounded(rep, rep2, bound, 10 ** 12)

@@ -140,9 +140,10 @@ def test_conjugacy_trace_mismatch_shortcut():
 
 
 def test_conjugacy_budget_guard():
-    rep = make_rep([[[1, 1], [0, 1]]])
+    # not conjugate in SL(2, Z): all 101 choices of the first coefficient are tried
+    rep1, rep2 = make_rep([[[1, 1], [0, 1]]]), make_rep([[[1, -1], [0, 1]]])
     with pytest.raises(monodromy.BoundTooLargeForBudget):
-        monodromy.conjugacy_test_bounded(rep, rep, 50, budget=100)
+        monodromy.conjugacy_test_bounded(rep1, rep2, 50, budget=100)
 
 
 def test_validation_is_conjugation_invariant():

@@ -307,44 +307,66 @@ def test_grid_symmetry_tolerance_is_lorentz_points():
             assert grid_ok == lorentz_ok
 
 
-def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
-    """Valid fields and fields perturbed across the 1e-12 (and 1e-5
-    relative) edge get the accept/reject answer of np.allclose(V, -V^T,
-    atol=1e-12), non-finite entries included."""
-    rng = np.random.default_rng(15)
-    shape = (3, 4, 3, 2)
-    grid = dyons.default_far_grid(nodes=5)
-    sol = dyons.dyon_construct(STD_J, [1, -1], [0, 0])
-    cases = [sol.sample_pair(grid).V]
+def transpose_edge_cases(rng, shape, n, sign, atol, first=()):
+    """(sign)-symmetric arrays of shape + (n, n) at many scales, one entry moved
+    across the atol + 1e-5 |y| edge of allclose(x, y = sign x^T), and non-finite
+    entries on and off the diagonal."""
+    cases = list(first)
     for _ in range(300):
-        A = rng.standard_normal(shape + (3, 3)) * 10.0 ** rng.uniform(-12, 2, shape + (3, 3))
-        V = A - np.swapaxes(A, -1, -2)
+        A = rng.standard_normal(shape + (n, n)) * 10.0 ** rng.uniform(-12, 2, shape + (n, n))
+        V = A + sign * np.swapaxes(A, -1, -2)
         idx = tuple(int(rng.integers(s)) for s in shape)
-        a, b = rng.choice(3, 2, replace=False)
+        a, b = rng.choice(n, 2, replace=False)
         if rng.random() < 0.3:
             V[idx + (a, b)] = V[idx + (b, a)] = 0.0
-        edge = 1e-12 + 1e-5 * abs(V[idx + (b, a)])
-        V[idx + (a, b)] = -V[idx + (b, a)] + rng.choice([-1, 1]) * edge * rng.choice(
+        edge = atol + 1e-5 * abs(V[idx + (b, a)])
+        V[idx + (a, b)] = sign * V[idx + (b, a)] + rng.choice([-1, 1]) * edge * rng.choice(
             [0.5, 0.99, 0.9999, 1.0, 1.0001, 1.01, 2.0])
         cases.append(V)
+    corner = (0,) * len(shape)
     for bad in (np.inf, -np.inf, np.nan):
         for diagonal in (False, True):
-            V = cases[1].copy()
-            V[0, 0, 0, 0, 0, 0 if diagonal else 1] = bad
+            V = cases[-1].copy()
+            V[corner + (0, 0 if diagonal else 1)] = bad
             cases.append(V)
             if not diagonal:
                 W = V.copy()
-                W[0, 0, 0, 0, 1, 0] = -bad
+                W[corner + (1, 0)] = sign * bad
                 cases.append(W)
-    cases.append(np.zeros((3, 3, 3, 0, 3, 3)))
-    answers = set()
-    for V in cases:
-        parent = bool(np.allclose(V, -np.swapaxes(V, -1, -2), atol=1e-12))
-        try:
-            reduction3d.BogomolnyPair(np.zeros(V.shape[:-2]), V)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == parent
-        answers.add(parent)
-    assert answers == {True, False}
+    if shape:
+        cases.append(np.zeros(shape[:-1] + (0, n, n)))
+    return cases
+
+
+def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
+    """At every call site of the one transpose predicate (each sign and atol),
+    valid inputs and inputs perturbed across the atol (and 1e-5 relative) edge
+    get the accept/reject answer of np.allclose(x, sign x^T, atol), non-finite
+    entries included; the later checks of a site (signature, definiteness) are
+    told apart by their messages."""
+    grid = dyons.default_far_grid(nodes=5)
+    sol = dyons.dyon_construct(STD_J, [1, -1], [0, 0])
+    n = 3
+    sites = [   # build, shape, n, sign, atol, valid inputs
+        (lambda V: reduction3d.BogomolnyPair(np.zeros(V.shape[:-2]), V),
+         (3, 4, 3, 2), 3, -1, 1e-12, [sol.sample_pair(grid).V]),
+        (forms4d.as_two_form, (5,), 4, -1, 1e-12, [forms4d.random_two_form(
+            np.random.default_rng(1), 2)]),
+        (forms4d.LorentzPoint, (), 4, 1, 1e-10, [np.diag([-1.0, 1.0, 1.0, 1.0])]),
+        (lambda R: taming.PeriodMatrix(R, np.eye(n)), (), n, 1, 1e-12, []),
+        (lambda I: taming.PeriodMatrix(np.zeros((n, n)), I), (), n, 1, 1e-12, [np.eye(n)]),
+    ]
+    for k, (build, shape, size, sign, atol, valid) in enumerate(sites):
+        answers = set()
+        rng = np.random.default_rng(15 + k)
+        for V in transpose_edge_cases(rng, shape, size, sign, atol, valid):
+            parent = bool(np.allclose(V, sign * np.swapaxes(V, -1, -2), atol=atol))
+            try:
+                with np.errstate(all="ignore"):
+                    build(V)
+                accepted = True
+            except Exception as exc:      # a later check of the site may fail instead
+                accepted = "symmetric" not in str(exc)
+            assert accepted == parent, (k, V)
+            answers.add(parent)
+        assert answers == {True, False}

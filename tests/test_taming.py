@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import sympforge
 from sympforge import taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -117,3 +121,17 @@ def test_theta_inverse_rejects_non_taming():
 def test_period_matrix_requires_positive_definite_imaginary_part():
     with pytest.raises(ValueError):
         taming.PeriodMatrix([[0.0]], [[-1.0]])
+
+
+def test_one_transpose_tolerance_predicate_in_the_library():
+    # "symmetric within tolerance" has one spelling, taming.close_to_transpose;
+    # Grid3's per-node check, which also rejects non-finite entries, is its own
+    calls, defs = [], []
+    for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("allclose", "isclose"):
+                calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.FunctionDef) and node.name == "close_to_transpose":
+                defs.append(path.name)
+    assert calls == [], f"use taming.close_to_transpose, not numpy's: {calls}"
+    assert defs == ["taming.py"]
