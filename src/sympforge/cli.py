@@ -15,11 +15,13 @@ import os
 import sys
 import warnings
 
-from . import __version__, lazy, monodromy, serialize, siegel, symplattice as sl
+from . import __version__, lazy
 
-# numpy and the float layers run on first use, so the exact groups never load numpy
-np, dyons, forms4d, reduction3d, selftest, taming = lazy("numpy", *(
-    f"sympforge.{m}" for m in ("dyons", "forms4d", "reduction3d", "selftest", "taming")))
+# numpy and every layer run on first use, so a call runs only the layers its handler touches
+(np, dyons, exactmat, forms4d, monodromy, reduction3d, selftest, serialize, siegel, symplattice,
+ taming) = lazy("numpy", *(f"sympforge.{m}" for m in (
+    "dyons", "exactmat", "forms4d", "monodromy", "reduction3d", "selftest", "serialize", "siegel",
+    "symplattice", "taming")))
 
 
 # every exception that means "invalid input", exit 2 with status invalid_input:
@@ -50,12 +52,12 @@ def _read_json(path, kind):
     return data, {path: hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _manifest(args, inputs, tol, seed=None):
+def _manifest(args, inputs, tol):
     return {
         "command": args.argv,
         "inputs": inputs or {},
         "tolerances": {"tol": tol},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),  # only selftest takes a seed
         "version": __version__,
     }
 
@@ -85,7 +87,7 @@ def _parse_vector(text):
 def cmd_lattice(args, tol):
     data, inputs = _read_json(args.infile, list)
     G = serialize.int_matrix_from_json(data)
-    res = sl.symplectic_normal_form(G)
+    res = symplattice.symplectic_normal_form(G)
     report = {"status": "ok", "type": list(res.type),
               "manifest": _manifest(args, inputs, tol)}
     if args.action == "normal-form":
@@ -276,7 +278,7 @@ def cmd_selftest(args, tol):
                          f"{['all'] + sorted(selftest.SUITES)}")
     passed, report = selftest.run(scope, args.seed)
     out = {"status": "ok" if passed else "failed", "suites": report,
-           "manifest": _manifest(args, None, tol, seed=args.seed)}
+           "manifest": _manifest(args, None, tol)}
     return _emit(out, 0 if passed else 1)
 
 
@@ -346,9 +348,9 @@ def main(argv=None):
             raise ValueError("dyon build requires --v")
         if args.group == "dyon" and args.action == "flux" and not args.infile:
             raise ValueError("dyon flux requires --in")
-        if args.group in ("lattice", "group", "aff", "monodromy"):  # exact: numpy stays unloaded
-            return args.func(args, tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused
+        with warnings.catch_warnings():  # np.errstate would load numpy for every group
+            warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                    RuntimeWarning)  # numpy's: a non-finite report is refused
             return args.func(args, tol)
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ import json
 import os
 from fractions import Fraction
 
-from . import lazy, siegel
+from . import lazy, reduction3d, siegel, taming
 
-np, reduction3d, taming = lazy("numpy", "sympforge.reduction3d", "sympforge.taming")
+[np] = lazy("numpy")  # a plain import would run numpy, which the CLI registers lazily
 
 
 def int_matrix_to_json(A):

@@ -146,8 +146,6 @@ def symplectic_normal_form(omega):
         _, i, j = best
         if i != s:
             _swap(A, U, i, s)
-            if j == s:
-                j = i
         if j != s + 1:
             _swap(A, U, j, s + 1)
         if A[s][s + 1] < 0:

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -326,7 +328,8 @@ def binary_grid_header(tmp_path, psi_file):
                                   "period_not_an_object", "float_matrix_entry", "over_budget",
                                   "null_affine_element", "object_in_float_matrix",
                                   "null_charge", "nan_charge_argument", "zero_spacing",
-                                  "ragged_dirac_image"])
+                                  "ragged_dirac_image", "dyon_flux_without_in",
+                                  "grid_fields_lack_V", "missing_input_file"])
 def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
     if case == "tol_env_not_a_number":
         monkeypatch.setenv("SYMPFORGE_TOL", "abc")
@@ -375,6 +378,15 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     elif case == "ragged_dirac_image":
         payload = {"images": [[[1, ["1", "2"]], []]], "lattice": [[1, 0], [0, 2]]}
         argv = ["monodromy", "dirac-verify", "--in", write(tmp_path, "dirac.json", payload)]
+    elif case == "dyon_flux_without_in":
+        argv = ["dyon", "flux"]
+    elif case == "grid_fields_lack_V":
+        header = {"shape": [3, 3, 3], "spacing": [0.1] * 3, "J": [[0.0, 1.0], [-1.0, 0.0]],
+                  "fields": {"psi": {"data": np.zeros((3, 3, 3, 2)).tolist(),
+                                     "shape": [3, 3, 3, 2]}}}
+        argv = ["bogomolny", "residual", "--in", write(tmp_path, "grid.json", header)]
+    elif case == "missing_input_file":
+        argv = ["lattice", "type", "--in", str(tmp_path / "absent.json")]
     else:
         psi_file = {"missing_payload": "absent.f64",
                     "payload_outside_header_dir": "../psi.f64",
@@ -520,6 +532,78 @@ def test_cli_import_registers_every_layer():
                             "print(' '.join(m for m in sys.modules if m.startswith('sympforge.')))")
     assert proc.returncode == 0, proc.stderr
     assert {f"sympforge.{name}" for name in layers} <= set(proc.stdout.split())
+
+
+def test_lazy_is_called_by_cli_for_every_layer_and_by_serialize_for_numpy():
+    """One rule decides what a CLI call loads: cli registers numpy and every other
+    module of the package lazily, serialize registers numpy (a plain import of it
+    would run it), and no other module calls lazy."""
+    package = pathlib.Path(sympforge.__file__).parent
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy":
+                # the modules the call names, evaluated with lazy returning its arguments
+                code = compile(ast.Expression(node), str(path), "eval")
+                calls.setdefault(path.stem, []).append(eval(code, {"lazy": lambda *n: n}))
+    layers = sorted(f"sympforge.{path.stem}" for path in package.glob("*.py")
+                    if path.stem not in ("__init__", "cli"))
+    assert calls == {"cli": [("numpy", *layers)], "serialize": [("numpy",)]}
+
+
+RAN_AFTER_MAIN = """
+import contextlib, io, json, sys
+from sympforge import cli
+argv, payload = json.loads(sys.argv[1])
+sys.stdin = io.StringIO(json.dumps(payload))
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+# running a module's code adds __builtins__ to its namespace; a lazy module not yet run lacks it
+print(" ".join(sorted(name.split(".")[1] for name, module in sys.modules.items()
+                      if name.startswith("sympforge.")
+                      and "__builtins__" in object.__getattribute__(module, "__dict__"))))
+"""
+
+
+@pytest.mark.parametrize("argv, payload, ran", [
+    (["lattice", "type", "--in", "-"], [[0, 3], [-3, 0]],
+     "cli exactmat serialize symplattice"),
+    (["taming", "check", "--in", "-"], [[0.0, 1.0], [-1.0, 0.0]],
+     "cli exactmat serialize symplattice taming"),
+], ids=["lattice_type", "taming_check"])
+def test_a_call_runs_only_the_layers_its_handler_touches(argv, payload, ran):
+    # neither call runs monodromy or siegel, which cli once imported for every call
+    proc = run_python("-c", RAN_AFTER_MAIN, json.dumps([argv, payload]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ran.split()
+
+
+WARNS_IN_HANDLER = """
+import sys
+import numpy as np
+from sympforge import cli
+def handler(args, tol):
+    EXPR
+    return cli._emit({"status": "ok"}, 0)
+cli.cmd_edyn = handler
+sys.exit(cli.main(["edyn", "build"]))
+"""
+
+
+@pytest.mark.parametrize("expr, warning", [
+    ("np.float64(1e308) * 10", None),
+    ("np.float64(np.inf) - np.inf", None),
+    ("np.float64(1.0) / 0.0", "RuntimeWarning: divide by zero encountered in scalar divide"),
+], ids=["overflow", "invalid_value", "divide_by_zero"])
+def test_main_hides_the_warnings_errstate_hid(expr, warning):
+    # np.errstate(over="ignore", invalid="ignore") hid overflow and invalid values only
+    proc = run_python("-c", WARNS_IN_HANDLER.replace("EXPR", expr))
+    assert proc.returncode == 0, proc.stderr
+    assert strict_loads(proc.stdout)["status"] == "ok"
+    if warning is None:
+        assert proc.stderr == ""
+    else:
+        assert warning in proc.stderr
 
 SELFDUAL_UNDER_O = """
 import numpy as np

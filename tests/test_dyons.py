@@ -39,6 +39,18 @@ def test_generic_dyon_passes_grid_residual():
     assert rep["closure_residual"] < 1e-6
 
 
+def test_radial_taming_samples_the_closed_form():
+    # a constant function J(r) = J0 takes the quadrature path, which fixes psi(1) = v'
+    J0 = taming.theta_forward(taming.random_period_matrix(1, np.random.default_rng(3)))
+    v, vprime = np.array([2.0, -1.0]), np.array([0.1, 0.2])
+    grid = dyons.default_far_grid(nodes=3)
+    pair = dyons.dyon_construct(lambda r: J0, v, vprime).sample_pair(grid)
+    r = np.linalg.norm(grid.points(), axis=-1)[..., None]
+    assert pair.psi.shape == (3, 3, 3, 2)
+    assert np.allclose(pair.psi, vprime + (J0 @ v) * (1 / r - 1) / 2, rtol=0, atol=1e-9)
+    assert np.array_equal(pair.V, dyons.dyon_construct(J0, v, vprime).sample_pair(grid).V)
+
+
 def test_verify_closed_form():
     sol = dyons.dyon_construct(STD_J, [1, 2], [0, 0])
     rep = dyons.dyon_verify(sol, [0.1, 1.0, 10.0])

@@ -13,7 +13,6 @@ import pathlib
 import sympforge
 
 OPTIONS = {
-    "cli._manifest.seed",
     "cli.build_parser.add.infile",
     "cli.build_parser.add.dest",
     "cli.build_parser.add.required",

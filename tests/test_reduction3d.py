@@ -355,6 +355,8 @@ def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
         (forms4d.LorentzPoint, (), 4, 1, 1e-10, [np.diag([-1.0, 1.0, 1.0, 1.0])]),
         (lambda R: taming.PeriodMatrix(R, np.eye(n)), (), n, 1, 1e-12, []),
         (lambda I: taming.PeriodMatrix(np.zeros((n, n)), I), (), n, 1, 1e-12, [np.eye(n)]),
+        (forms4d.as_two_form, (), 4, -1, 1e-12, [forms4d.random_two_form(   # one 4 x 4 matrix
+            np.random.default_rng(2), 1)[0]]),
     ]
     for k, (build, shape, size, sign, atol, valid) in enumerate(sites):
         answers = set()
