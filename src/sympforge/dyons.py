@@ -71,7 +71,9 @@ class DyonSolution:
         return -self.J_at(r) @ self.v / (2.0 * r**2)
 
     def psi(self, r):
-        """Higgs profile; closed form for constant J, quadrature otherwise."""
+        """Higgs profile; closed form for constant J, quadrature otherwise.  v' is
+        psi(inf) for a constant J but psi(1) for a callable J: lambda r: J0 gives
+        the profile of the constant J0 shifted by -J0 v / 2."""
         if np.any(np.asarray(r) <= 0):
             raise NonPositiveRadius("radius must be positive")
         if not callable(self.J):
@@ -92,8 +94,7 @@ class DyonSolution:
 
     def V_at(self, x):
         """Curvature two-form at Cartesian points; shape (..., 2n, 3, 3)."""
-        sigma = solid_angle_form(x)
-        return np.einsum("j,...ab->...jab", self.curvature_coeff(), sigma)
+        return self.curvature_coeff()[:, None, None] * solid_angle_form(x)[..., None, :, :]
 
     def sample_pair(self, grid):
         """Sample (psi, V) on a Cartesian grid as a BogomolnyPair."""
@@ -106,7 +107,12 @@ class DyonSolution:
         else:
             Jv = self.J_at(1.0) @ self.v
             psi = Jv / (2.0 * r[..., None]) + self.v_prime
-        return reduction3d.BogomolnyPair(psi=psi, V=self.V_at(X))
+        V = self.V_at(X)   # antisymmetric by construction: skip BogomolnyPair's check
+        if not np.isfinite(V).all():
+            raise ValueError("sampled V is not finite")
+        pair = object.__new__(reduction3d.BogomolnyPair)
+        pair.psi, pair.V = psi, V
+        return pair
 
 
 def dyon_construct(J, v, v_prime, type_ctx=None):
@@ -237,8 +243,7 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):
     period = taming.electrodynamics_period(theta, g_sq)
     h = grid.metric
     E_form = np.einsum("...ab,...b->...a", h, E_vec)[..., None, :]
-    B_form = forms4d._star(grid.metric_inv, grid.sqrt_det,
-                           np.einsum("...ab,...b->...a", h, B_vec), 1)[..., None, :, :]
+    B_form = reduction3d._star(grid, np.einsum("...ab,...b->...a", h, B_vec), 1)[..., None, :, :]
     maxwell = reduction3d.em_static_residual(grid, period.R, period.I,
                                              E_form, B_form,
                                              Phi[..., None], Upsilon[..., None])

@@ -1,13 +1,15 @@
 """Pointwise exterior algebra on 4d Lorentzian vector spaces.
 
-Every Hodge star in the package is one batched contraction, _star(g^-1,
-s sqrt|det g|, form, degree), for 3d and 4d metrics: grids pass the factor
-their Grid3 computed once, hodge_star(g, form, degree) inverts g itself.
-Coordinates are ordered (t, x, y, z); the Levi-Civita symbol is normalized
-by eps_{0123} = +1 and multiplied by the orientation flag.  On two-forms
-the Lorentzian Hodge star squares to minus the identity, so the polarized
-operator (star tensor J) squares to plus the identity and splits
-vector-valued two-forms into self-dual and anti-self-dual parts.
+Every Hodge star in the package is one kernel, _star(g, g^-1, s sqrt|det g|,
+sign det g, form, degree): grids pass the factor their Grid3 computed once,
+hodge_star(g, form, degree) inverts g itself.  In 3d the component axes are
+matmul rows: a 1-form u gives vol eps_abc (u g^-1)_c; a 2-form w gives
+(vol / det g) w' g for its axial vector w'_c = (w_ab - w_ba) / 2 over cyclic
+(a, b, c), as g^-1 [w']_x g^-1 = [g w' / det g]_x.  In 4d (single points)
+it contracts g^-1 w g^-1 with eps, eps_{0123} = +1, coordinates (t, x, y,
+z).  On two-forms the Lorentzian Hodge star squares to minus the identity,
+so the polarized operator (star tensor J) squares to plus the identity and
+splits vector-valued two-forms into self-dual and anti-self-dual parts.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,8 @@ def levi_civita(d):
     return eps
 
 
-_LEVI_CIVITA = {d: levi_civita(d) for d in (3, 4)}
+_EPS4 = levi_civita(4)
+_EPS3 = levi_civita(3).reshape(3, 9)  # row c: eps_abc on the flat (a, b); rows @ it are exact
 
 
 def hodge_star(g, form, degree, orientation=1):
@@ -53,18 +56,27 @@ def hodge_star(g, form, degree, orientation=1):
     """
     g = np.asarray(g, dtype=float)
     d = g.shape[-1]
-    if g.shape[-2:] != (d, d) or d not in _LEVI_CIVITA:
+    if g.shape[-2:] != (d, d) or d not in (3, 4):
         raise ValueError("metric must be 3x3 or 4x4, or a field of them")
-    return _star(np.linalg.inv(g), orientation * np.sqrt(np.abs(np.linalg.det(g))), form, degree)
+    det = np.linalg.det(g)
+    return _star(g, np.linalg.inv(g), orientation * np.sqrt(abs(det)), np.sign(det), form, degree)
 
 
-def _star(ginv, vol, form, degree):
-    """hodge_star from g^-1 and the signed volume s sqrt|det g|, or fields of them."""
+def _star(g, ginv, vol, det_sign, form, degree):
+    """hodge_star from g, g^-1, vol = s sqrt|det g| and sign det g, or fields of them."""
     form = np.asarray(form, dtype=float)
     d, batch = ginv.shape[-1], ginv.shape[:-2]
     if (degree not in (1, 2) or form.shape[:len(batch)] != batch
             or form.shape[len(batch):][-degree:] != (d,) * degree):
         raise ValueError(f"form must be (*batch, *carried) + {(d,) * degree}, degree 1 or 2")
+    if d == 3:  # component axes as matmul rows
+        if degree == 1:
+            out = ((form.reshape(batch + (-1, 3)) @ ginv)
+                   * np.reshape(vol, batch + (1, 1))).reshape(-1, 3) @ _EPS3
+        else:
+            axial = (form.reshape(-1, 9) @ (0.5 * _EPS3.T)).reshape(batch + (-1, 3))
+            out = (axial @ g) * np.reshape(det_sign / vol, batch + (1, 1))
+        return out.reshape(form.shape[:form.ndim - degree] + (3,) * (3 - degree))
     vol = vol / factorial(degree)
     if batch:
         carried = (1,) * (form.ndim - len(batch) - degree)
@@ -74,7 +86,7 @@ def _star(ginv, vol, form, degree):
         raised = np.einsum("...bc,...c->...b", ginv, form)
     else:
         raised = ginv @ form @ ginv  # g^-1 is symmetric
-    out = np.tensordot(raised, _LEVI_CIVITA[d], axes=degree)
+    out = np.tensordot(raised, _EPS4, axes=degree)
     out *= vol
     return out
 

@@ -3,11 +3,12 @@ residual on Cartesian grids, and theta-coupled electromagnetostatics.
 
 A static product metric -dt^2 + h splits a 4d two-form into a spatial
 1-form part (the dt-wedge factor) and a spatial 2-form part; the 4d Hodge
-star then factors through the 3d star of h.  Grid3 checks h at every node
-and factors it once, as adjugate over determinant; every grid consumer uses
-that h^-1 and sqrt(det h), the 4d lift with g^-1 = (-1) + h^-1.  Solving is
-done elsewhere -- this module only evaluates residuals, with second-order
-central differences and the one-cell boundary layer excluded.
+star then factors through the 3d star of h, and the 4d lift is evaluated
+through two of them.  Grid3 checks h at every node and factors it once, as
+adjugate over determinant, into read-only arrays; every grid star, sharp and
+divergence reads that h, h^-1 and sqrt(det h).  Solving is done elsewhere --
+this module only evaluates residuals, with second-order central differences
+and the one-cell boundary layer excluded.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ class GridTooSmall(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid3:
     shape: tuple
     spacing: tuple
@@ -34,21 +35,19 @@ class Grid3:
     metric: np.ndarray = None  # (3,3) constant or per-node (*shape, 3, 3)
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
-        self.spacing = tuple(float(h) for h in self.spacing)
-        self.origin = tuple(float(x) for x in self.origin)
+        put = object.__setattr__
+        for name, kind in (("shape", int), ("spacing", float), ("origin", float)):
+            put(self, name, tuple(kind(x) for x in getattr(self, name)))
         if len(self.shape) != 3 or len(self.spacing) != 3:
             raise ValueError("shape and spacing must have three entries")
         if min(self.shape) < 3:
             raise GridTooSmall("need at least 3 nodes per axis for central differences")
         if not all(0 < h < np.inf for h in self.spacing):
             raise ValueError("spacing must be positive and finite")
-        if self.metric is None:
-            self.metric = np.eye(3)
-        self.metric = np.asarray(self.metric, dtype=float)
-        if self.metric.shape not in ((3, 3), self.shape + (3, 3)):
+        h = np.asarray(np.eye(3) if self.metric is None else self.metric, dtype=float).view()
+        if h.shape not in ((3, 3), self.shape + (3, 3)):
             raise ValueError("metric must be 3x3 or per-node")
-        h, hT = self.metric, np.swapaxes(self.metric, -1, -2)
+        hT = np.swapaxes(h, -1, -2)
         (a, b, c), (d, e, f), (g, k, i) = np.moveaxis(h, (-2, -1), (0, 1))
         adj = np.array([[e * i - f * k, c * k - b * i, b * f - c * e],
                         [f * g - d * i, a * i - c * g, c * d - a * f],
@@ -60,8 +59,12 @@ class Grid3:
         if not ok.all():
             node = f" at node {tuple(int(x) for x in np.argwhere(~ok)[0])}" if ok.ndim else ""
             raise ValueError(f"metric must be symmetric positive-definite{node}")
-        self.metric_inv = np.ascontiguousarray(np.moveaxis(adj / det, (0, 1), (-2, -1)))
-        self.sqrt_det = np.sqrt(det)
+        hinv = np.ascontiguousarray(np.moveaxis(adj / det, (0, 1), (-2, -1)))
+        sqrt_det = np.asarray(np.sqrt(det))
+        # the star reads all three together: read-only (metric views the array passed in)
+        for name, x in (("metric", h), ("metric_inv", hinv), ("sqrt_det", sqrt_det)):
+            x.flags.writeable = False
+            put(self, name, x)
 
     def axes(self):
         return [self.origin[k] + self.spacing[k] * np.arange(self.shape[k])
@@ -74,13 +77,28 @@ class Grid3:
 
 
 # ---------------------------------------------------------------------------
-# index raising (broadcast over leading axes)
+# index raising, the grid star and the contraction over the component axis
 
 def sharp(grid, E):
-    """Index raising of a 1-form field of shape (*grid.shape, ..., 3)."""
+    """Index raising of a 1-form field of shape (*grid.shape, ..., 3), as rows @ h^-1."""
     hinv = grid.metric_inv
-    hinv = hinv.reshape(hinv.shape[:-2] + (1,) * (E.ndim - hinv.ndim + 1) + (3, 3))
-    return np.einsum("...ab,...b->...a", hinv, E)
+    return (E.reshape(hinv.shape[:-2] + (-1, 3)) @ hinv).reshape(E.shape)
+
+
+def _star(grid, form, degree):
+    """The Hodge star of h on a field of grid forms, from the factor of the grid."""
+    return forms4d._star(grid.metric, grid.metric_inv, grid.sqrt_det, 1.0, form, degree)
+
+
+def _contract(J, x):
+    """np.einsum("...jk,...ka->...ja", J, x), J constant or per node, summed in its order."""
+    J = np.asarray(J, dtype=float)
+    if J.shape[-2:] != (x.shape[-2],) * 2:
+        raise RankMismatch("taming size does not match field rank")
+    out = J[..., :, :1] * x[..., :1, :]
+    for k in range(1, J.shape[-1]):
+        out += J[..., :, k:k + 1] * x[..., k:k + 1, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +143,10 @@ def star_decompose_check(p, omega):
     h = _check_static(p)
     omega = forms4d.as_two_form(omega)
     lhs = forms4d.hodge_star(p.metric, omega, 2, p.orientation)
-    hinv, vol = np.linalg.inv(h), p.orientation * np.sqrt(np.abs(np.linalg.det(h)))
+    factor = h, np.linalg.inv(h), p.orientation * np.sqrt(np.linalg.det(h)), 1.0  # h is SPD
     top, perp = omega[..., 0, 1:], omega[..., 1:, 1:]   # decompose_form, validated above
-    return float(max(np.max(np.abs(lhs[..., 0, 1:] - forms4d._star(hinv, vol, perp, 2))),
-                     np.max(np.abs(lhs[..., 1:, 1:] + forms4d._star(hinv, vol, top, 1)))))
+    return float(max(np.max(np.abs(lhs[..., 0, 1:] - forms4d._star(*factor, perp, 2))),
+                     np.max(np.abs(lhs[..., 1:, 1:] + forms4d._star(*factor, top, 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +189,7 @@ def bogomolny_residual(grid, J, pair):
     """
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
-    J = np.asarray(J, dtype=float)
-    two_n = pair.psi.shape[-1]
-    if J.shape[-2:] != (two_n, two_n):
-        raise RankMismatch("taming size does not match field rank")
-    star_v = forms4d._star(grid.metric_inv, grid.sqrt_det, pair.V, 2)  # (*shape, 2n, 3)
-    eq_field = np.einsum("...jk,...ka->...ja", J, star_v) - grad_nodes(grid, pair.psi)
+    eq_field = _contract(J, _star(grid, pair.V, 2)) - grad_nodes(grid, pair.psi)
     # discrete exterior derivative of the 2-form: one 3-form component
     dV = (np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
           + np.gradient(pair.V[..., 2, 0], grid.spacing[1], axis=1, edge_order=2)
@@ -191,18 +204,15 @@ def bogomolny_residual(grid, J, pair):
 
 def lift_to_4d(pair, grid, J):
     """Assemble the time-invariant 4d field dt ^ d psi + V and evaluate the
-    4d polarized self-duality residual star_g Vhat + J Vhat pointwise.
-    """
+    4d polarized self-duality residual star_g Vhat + J Vhat pointwise, through
+    star_h (star_decompose_check): dt ^ (star_h V + J d psi) + J V - star_h d psi."""
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
-    J = np.asarray(J, dtype=float)
-    dpsi = grad_nodes(grid, pair.psi)
-    vhat = reassemble_form(dpsi, pair.V)      # (*shape, 2n, 4, 4)
-    ginv = np.zeros(grid.metric_inv.shape[:-2] + (4, 4))  # g = -dt^2 + h, once or per node
-    ginv[..., 0, 0] = -1.0
-    ginv[..., 1:, 1:] = grid.metric_inv
-    resid = forms4d._star(ginv, grid.sqrt_det, vhat, 2) + np.einsum("jk,...kab->...jab", J, vhat)
-    return {"field": vhat, "residual": _interior_max(resid), "residual_field": resid}
+    dpsi, V = grad_nodes(grid, pair.psi), pair.V   # J V on all 9 entries of V, as given
+    resid = reassemble_form(_star(grid, V, 2) + _contract(J, dpsi), _contract(
+        J, V.reshape(V.shape[:-2] + (9,))).reshape(V.shape) - _star(grid, dpsi, 1))
+    return {"field": reassemble_form(dpsi, pair.V), "residual": _interior_max(resid),
+            "residual_field": resid}
 
 
 def divergence(grid, X):
@@ -241,16 +251,14 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
         B = B[..., None, :, :]
 
     Evec = sharp(grid, E)
-    Bvec = sharp(grid, forms4d._star(grid.metric_inv, grid.sqrt_det, B, 2))
+    Bvec = sharp(grid, _star(grid, B, 2))
     grad_phi_vec = sharp(grid, grad_nodes(grid, Phi))
     grad_ups_vec = sharp(grid, grad_nodes(grid, Upsilon))
 
     res1 = Evec + grad_phi_vec
-    res2 = (np.einsum("jk,...ka->...ja", I, Bvec)
-            + np.einsum("jk,...ka->...ja", R, Evec) + grad_ups_vec)
+    res2 = _contract(I, Bvec) + _contract(R, Evec) + grad_ups_vec
     res3 = divergence(grid, Bvec)
-    res4 = divergence(grid, np.einsum("jk,...ka->...ja", R, Bvec)
-                      + np.einsum("jk,...ka->...ja", I, Evec))
+    res4 = divergence(grid, _contract(R, Bvec) + _contract(I, Evec))
     return {
         "electric_potential": _interior_max(res1),
         "magnetic_potential": _interior_max(res2),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,26 @@ def test_fiber_check_sample_mismatch():
     with pytest.raises(dyons.SampleMismatch):
         dyons.h_theta_fiber_check(out["grid"], out["E_vec"][1:], out["B_vec"],
                                   out["Phi"], out["Upsilon"], 0.0, 4 * np.pi)
+
+
+def test_sample_pair_refuses_non_finite_samples():
+    """sample_pair skips BogomolnyPair's antisymmetry check, so it refuses a
+    non-finite V itself: an overflowing V (inf) and inf * 0 (NaN) alike."""
+    grid = reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.001,) * 3, origin=(0.001,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for v in ([1e308, 0.0], [np.inf, 0.0]):
+            sol = dyons.dyon_construct(STD_J, v, [0, 0])
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+                sol.sample_pair(grid)
+
+
+def test_sample_pair_is_a_valid_bogomolny_pair():
+    sol = dyons.dyon_construct(STD_J, [2, -1], [0.1, 0.2])
+    grid = dyons.default_far_grid(nodes=5)
+    pair = sol.sample_pair(grid)
+    checked = reduction3d.BogomolnyPair(pair.psi, pair.V)   # passes the check it skipped
+    assert isinstance(pair, reduction3d.BogomolnyPair)
+    assert np.array_equal(checked.V, pair.V) and np.array_equal(checked.psi, pair.psi)
+    assert np.array_equal(pair.V, np.einsum("j,...ab->...jab", sol.curvature_coeff(),
+                                            dyons.solid_angle_form(grid.points())))

@@ -215,20 +215,31 @@ def oracle_star(h, w, degree):
     return 0.5 * np.einsum("...,abc,...bd,...ce,...de->...a", vol, EPS3, hinv, hinv, w)
 
 
-def random_metrics(rng, d, count):
+def random_metrics(rng, d, count, indefinite=False):
+    """Metrics of signature (3, 1) in 4d; in 3d positive definite, or of
+    signature (2, 1) (det g < 0) and condition at most 20 when indefinite."""
     if d == 4:
         return np.stack([forms4d.random_metric(rng).metric for _ in range(count)])
+    if indefinite:
+        B = [b for b in (np.eye(3) + 0.3 * rng.standard_normal((3, 3)) for _ in range(10 * count))
+             if np.linalg.cond(b) ** 2 <= 20][:count]
+        return np.swapaxes(B, -1, -2) @ np.diag([1.0, 1.0, -1.0]) @ B
     A = rng.standard_normal((count, 3, 3)) * 0.5
     return np.eye(3) + A @ np.swapaxes(A, -1, -2)
 
 
-@pytest.mark.parametrize("d,degree", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("d,degree,indefinite", [
+    pytest.param(3, 1, False, id="3-1"), pytest.param(3, 2, False, id="3-2"),
+    pytest.param(4, 2, False, id="4-2"),
+    pytest.param(3, 1, True, id="3-1-signature21"), pytest.param(3, 2, True, id="3-2-signature21")])
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("per_point", [False, True])
-def test_hodge_star_kernel_matches_epsilon_formulas(d, degree, orientation, per_point):
+def test_hodge_star_kernel_matches_epsilon_formulas(d, degree, indefinite, orientation, per_point):
     rng = np.random.default_rng(10 * d + degree)
     points, k = 6, 3
-    g = random_metrics(rng, d, points)
+    g = random_metrics(rng, d, points, indefinite)
+    if indefinite:
+        assert np.all(np.linalg.det(g) < 0)
     w = rng.standard_normal((points, k) + (d,) * degree)
     if degree == 2:
         w = w - np.swapaxes(w, -1, -2)
@@ -239,3 +250,17 @@ def test_hodge_star_kernel_matches_epsilon_formulas(d, degree, orientation, per_
     out = forms4d.hodge_star(g, w, degree, orientation)
     assert out.shape == expect.shape
     assert np.max(np.abs(out - expect)) < 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("d,degree", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_star_kernel_returns_c_contiguous_arrays(d, degree):
+    """Callers sum over the kernel's output with einsum, whose order of
+    summation follows the memory layout (flux_quantization, say)."""
+    rng = np.random.default_rng(d + degree)
+    g = random_metrics(rng, d, 20)
+    for metric, form in ((g[0], rng.standard_normal((4, 5, 2) + (d,) * degree)),
+                         (g.reshape(4, 5, d, d), rng.standard_normal((4, 5, 2) + (d,) * degree)),
+                         (g[0], rng.standard_normal((d,) * degree))):
+        out = forms4d.hodge_star(metric, form, degree)
+        assert out.flags.c_contiguous
+        assert out.shape == form.shape[:form.ndim - degree] + (d,) * (d - degree)

@@ -372,3 +372,48 @@ def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
             assert accepted == parent, (k, V)
             answers.add(parent)
         assert answers == {True, False}
+
+
+def test_euclidean_eq_field_is_the_oracles_bit_for_bit():
+    """On the identity metric every product in the star and the contraction
+    is exact, so bogomolny_residual gives the LAPACK oracle's eq_field."""
+    rng = np.random.default_rng(16)
+    for two_n in (2, 4):
+        shape = (5, 6, 4)
+        J = taming.theta_forward(taming.random_period_matrix(two_n // 2, rng))
+        A = rng.standard_normal(shape + (two_n, 3, 3))
+        pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (two_n,)),
+                                         A - np.swapaxes(A, -1, -2))
+        grid = reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.15))
+        for Jn in (J, np.broadcast_to(J, shape + J.shape)):
+            assert np.array_equal(reduction3d.bogomolny_residual(grid, Jn, pair)["eq_field"],
+                                  oracles.bogomolny_eq_field(grid, Jn, pair))
+
+
+@pytest.mark.parametrize("two_n", [2, 4])
+@pytest.mark.parametrize("width", [3, 9])
+@pytest.mark.parametrize("per_node", [False, True])
+def test_component_contraction_is_einsum_bit_for_bit(two_n, width, per_node):
+    rng = np.random.default_rng(17 + two_n + width)
+    for shape in ((5, 6, 4), (17, 17, 17)):
+        x = rng.standard_normal(shape + (two_n, width)) * 10.0 ** rng.uniform(-3, 3)
+        J = rng.standard_normal((shape if per_node else ()) + (two_n, two_n))
+        assert np.array_equal(reduction3d._contract(J, x),
+                              np.einsum("...jk,...ka->...ja", J, x))
+    with pytest.raises(forms4d.RankMismatch):
+        reduction3d._contract(np.eye(two_n + 2), x)
+
+
+def test_grid_factor_is_frozen():
+    shape = (3, 4, 5)
+    for metric in (np.diag([1.0, 2.0, 3.0]), metric_field(np.random.default_rng(18), shape)):
+        passed = metric.copy()
+        grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=passed)
+        for name in ("shape", "spacing", "origin", "metric", "metric_inv", "sqrt_det"):
+            with pytest.raises(AttributeError):    # dataclasses.FrozenInstanceError
+                setattr(grid, name, getattr(grid, name))
+        for name in ("metric", "metric_inv", "sqrt_det"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[...] = 1.0
+        assert passed.flags.writeable       # the grid marks its own view, not the caller's array
+        assert np.array_equal(grid.metric, metric)
