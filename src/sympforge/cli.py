@@ -96,7 +96,7 @@ def cmd_lattice(args, tol):
 
 
 def cmd_group(args, tol):
-    data, inputs = _read_json(args.matrix, list)
+    data, inputs = _read_json(args.infile, list)
     t = _parse_type(args.type) if args.type else None
     if args.action == "check":
         if t is None:
@@ -290,17 +290,16 @@ def build_parser():
                     help="override the default tolerance (env SYMPFORGE_TOL)")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    def add(name, actions, func, infile="--in", dest="infile", required=True):
+    def add(name, actions, func, infile="--in", required=True):
         p = sub.add_parser(name)
         p.add_argument("action", choices=actions)
         if infile:
-            p.add_argument(infile, dest=dest, required=required)
+            p.add_argument(infile, dest="infile", required=required)
         p.set_defaults(func=func)
         return p
 
     add("lattice", ["normal-form", "type"], cmd_lattice)
-    add("group", ["check", "min-type"], cmd_group, "--matrix", dest="matrix").add_argument(
-        "--type", default=None)
+    add("group", ["check", "min-type"], cmd_group, "--matrix").add_argument("--type", default=None)
     add("aff", ["compose"], cmd_aff)
     add("taming", ["convert", "check"], cmd_taming)
     add("selfdual", ["check"], cmd_selfdual)

@@ -107,12 +107,10 @@ class DyonSolution:
         else:
             Jv = self.J_at(1.0) @ self.v
             psi = Jv / (2.0 * r[..., None]) + self.v_prime
-        V = self.V_at(X)   # antisymmetric by construction: skip BogomolnyPair's check
+        V = self.V_at(X)   # BogomolnyPair accepts inf, as allclose does: refused here
         if not np.isfinite(V).all():
             raise ValueError("sampled V is not finite")
-        pair = object.__new__(reduction3d.BogomolnyPair)
-        pair.psi, pair.V = psi, V
-        return pair
+        return reduction3d.BogomolnyPair(psi, V)
 
 
 def dyon_construct(J, v, v_prime, type_ctx=None):

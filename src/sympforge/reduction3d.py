@@ -152,20 +152,21 @@ def star_decompose_check(p, omega):
 # ---------------------------------------------------------------------------
 # grid fields
 
-@dataclass
+@dataclass(frozen=True)
 class BogomolnyPair:
     psi: np.ndarray  # (*shape, 2n)
     V: np.ndarray    # (*shape, 2n, 3, 3) spatial-index antisymmetric
 
     def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        if self.V.shape[-2:] != (3, 3):
+        psi, V = np.asarray(self.psi, dtype=float), np.asarray(self.V, dtype=float)
+        if V.shape[-2:] != (3, 3):
             raise ValueError("V must have trailing 3x3 axes")
-        if not taming.close_to_transpose(self.V, -1, 1e-12):
-            raise ValueError("V must be antisymmetric in its form indices")
-        if self.psi.shape != self.V.shape[:-2]:
+        if psi.shape != V.shape[:-2]:
             raise ValueError("psi and V node/rank shapes disagree")
+        if not taming.close_to_transpose(V, -1, 1e-12):
+            raise ValueError("V must be antisymmetric in its form indices")
+        object.__setattr__(self, "psi", psi)   # writeable still: they may be the caller's
+        object.__setattr__(self, "V", V)
 
 
 def grad_nodes(grid, field):
@@ -203,16 +204,14 @@ def bogomolny_residual(grid, J, pair):
 
 
 def lift_to_4d(pair, grid, J):
-    """Assemble the time-invariant 4d field dt ^ d psi + V and evaluate the
-    4d polarized self-duality residual star_g Vhat + J Vhat pointwise, through
-    star_h (star_decompose_check): dt ^ (star_h V + J d psi) + J V - star_h d psi."""
+    """The 4d polarized self-duality residual star_g Vhat + J Vhat of Vhat = dt ^ d psi + V, by
+    star_decompose_check's factorization: dt ^ (star_h V + J d psi) + J V - star_h d psi."""
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
     dpsi, V = grad_nodes(grid, pair.psi), pair.V   # J V on all 9 entries of V, as given
     resid = reassemble_form(_star(grid, V, 2) + _contract(J, dpsi), _contract(
         J, V.reshape(V.shape[:-2] + (9,))).reshape(V.shape) - _star(grid, dpsi, 1))
-    return {"field": reassemble_form(dpsi, pair.V), "residual": _interior_max(resid),
-            "residual_field": resid}
+    return {"residual": _interior_max(resid), "residual_field": resid}
 
 
 def divergence(grid, X):

@@ -21,10 +21,12 @@ ROUNDTRIP_TOL = 1e-9
 @np.errstate(invalid="ignore")     # inf - inf
 def close_to_transpose(x, sign, atol):
     """numpy's allclose(x, sign x^T, atol=atol) on the last two axes: the same acceptance set."""
-    y = sign * np.swapaxes(x, -1, -2)
-    d = np.abs(x - y)       # within atol everywhere, as most inputs are, implies finite
-    return bool(d.max(initial=0.0) <= atol
-                or (((d <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
+    xT = np.swapaxes(x, -1, -2)
+    d = np.add(x, xT) if sign < 0 else np.subtract(x, xT)   # x - (-x^T) bit for bit, inf too
+    if np.abs(d, out=d).max(initial=0.0) <= atol:   # most inputs; within atol implies finite
+        return True
+    y = sign * xT
+    return bool((((d <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
 
 
 class SingularImaginaryPart(ValueError):

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import sympforge
 from sympforge import dyons, reduction3d, taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -205,8 +208,9 @@ def test_fiber_check_sample_mismatch():
 
 
 def test_sample_pair_refuses_non_finite_samples():
-    """sample_pair skips BogomolnyPair's antisymmetry check, so it refuses a
-    non-finite V itself: an overflowing V (inf) and inf * 0 (NaN) alike."""
+    """BogomolnyPair's antisymmetry check accepts inf as np.allclose does, so
+    sample_pair refuses a non-finite V itself: an overflowing V (inf) and
+    inf * 0 (NaN) alike."""
     grid = reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.001,) * 3, origin=(0.001,) * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -216,11 +220,36 @@ def test_sample_pair_refuses_non_finite_samples():
                 sol.sample_pair(grid)
 
 
+def test_sample_pair_runs_the_pair_check_once(monkeypatch):
+    sol = dyons.dyon_construct(STD_J, [2, -1], [0.1, 0.2])
+    grid = dyons.default_far_grid(nodes=5)
+    calls = []
+
+    def counted(x, sign, atol, check=taming.close_to_transpose):
+        calls.append((x.shape, sign, atol))
+        return check(x, sign, atol)
+
+    monkeypatch.setattr(taming, "close_to_transpose", counted)
+    pair = sol.sample_pair(grid)
+    assert calls == [(pair.V.shape, -1, 1e-12)]
+
+
+def test_no_constructor_is_bypassed_in_the_library():
+    """A checked value has one way in, its constructor: no object.__new__ in src."""
+    calls = []
+    for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_sample_pair_is_a_valid_bogomolny_pair():
     sol = dyons.dyon_construct(STD_J, [2, -1], [0.1, 0.2])
     grid = dyons.default_far_grid(nodes=5)
     pair = sol.sample_pair(grid)
-    checked = reduction3d.BogomolnyPair(pair.psi, pair.V)   # passes the check it skipped
+    checked = reduction3d.BogomolnyPair(pair.psi, pair.V)   # the public constructor, again
     assert isinstance(pair, reduction3d.BogomolnyPair)
     assert np.array_equal(checked.V, pair.V) and np.array_equal(checked.psi, pair.psi)
     assert np.array_equal(pair.V, np.einsum("j,...ab->...jab", sol.curvature_coeff(),

@@ -14,7 +14,6 @@ import sympforge
 
 OPTIONS = {
     "cli.build_parser.add.infile",
-    "cli.build_parser.add.dest",
     "cli.build_parser.add.required",
     "cli.main.argv",
     "dyons.DyonSolution.psi.<lambda>.i",

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -114,7 +115,23 @@ def test_lift_zero_pair():
     psi = np.zeros(grid.shape + (2,))
     V = np.zeros(grid.shape + (2, 3, 3))
     out = reduction3d.lift_to_4d((psi, V), grid, STD_J)
-    assert out["residual"] == 0.0
+    assert set(out) == {"residual", "residual_field"}   # the lift assembles nothing else
+    assert out["residual"] == 0.0 and out["residual_field"].shape == grid.shape + (2, 4, 4)
+
+
+def test_bogomolny_pair_is_frozen_and_keeps_the_callers_arrays():
+    psi, V = np.zeros((3, 3, 3, 2)), np.zeros((3, 3, 3, 2, 3, 3))
+    pair = reduction3d.BogomolnyPair(psi, V)
+    assert pair.psi is psi and pair.V is V and V.flags.writeable
+    for name in ("psi", "V"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pair, name, V)
+
+
+def test_bogomolny_pair_checks_shapes_before_antisymmetry():
+    V = np.ones((3, 3, 3, 2, 3, 3))   # not antisymmetric, and psi's shape disagrees
+    with pytest.raises(ValueError, match="shapes disagree"):
+        reduction3d.BogomolnyPair(np.zeros((3, 3, 3, 4)), V)
 
 
 def test_lift_violation_matches_3d_residual_order():
