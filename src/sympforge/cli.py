@@ -24,8 +24,9 @@ from . import __version__, lazy
     "symplattice", "taming")))
 
 
-# every exception that means "invalid input", exit 2 with status invalid_input:
-# the library's input errors and json.JSONDecodeError are all ValueErrors
+# every exception that means "invalid input", exit 2 with status invalid_input: each library
+# refusal is a ValueError with its message (BoundTooLargeForBudget is one too), and so is
+# json.JSONDecodeError; KeyError is a missing field of an input file
 INVALID_INPUT = (ValueError, KeyError)
 
 
@@ -107,9 +108,8 @@ def cmd_group(args, tol):
                   "manifest": _manifest(args, inputs, tol)}
         return _emit(report, 0 if member else 1)
     T = serialize.rational_matrix_from_json(data)
-    try:
-        found = siegel.element_min_type(T)
-    except siegel.NotFound:
+    found = siegel.element_min_type(T)
+    if found is None:
         return _emit({"status": "not_found",
                       "manifest": _manifest(args, inputs, tol)}, 1)
     return _emit({"status": "ok", "type": list(found),

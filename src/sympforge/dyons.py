@@ -16,22 +16,6 @@ import numpy as np
 from . import forms4d, reduction3d, symplattice, taming
 
 
-class NonPositiveRadius(ValueError):
-    pass
-
-
-class QuadratureFailure(ValueError):
-    pass
-
-
-class InvalidCoupling(ValueError):
-    pass
-
-
-class SampleMismatch(ValueError):
-    pass
-
-
 class NonIntegerVWarning(UserWarning):
     pass
 
@@ -57,6 +41,9 @@ class DyonSolution:
         if self.type_ctx is None:
             self.type_ctx = symplattice.delta(len(self.v) // 2)
         self.type_ctx = symplattice.validate_type(self.type_ctx)
+        if 2 * len(self.type_ctx) != len(self.v):
+            raise ValueError(f"type {self.type_ctx} must have len(v) / 2 entries, "
+                             f"not {len(self.type_ctx)}")
 
     @property
     def rank2n(self):
@@ -67,7 +54,7 @@ class DyonSolution:
 
     def dpsi_dr(self, r):
         if np.any(np.asarray(r) <= 0):
-            raise NonPositiveRadius("radius must be positive")
+            raise ValueError("radius must be positive")
         return -self.J_at(r) @ self.v / (2.0 * r**2)
 
     def psi(self, r):
@@ -75,7 +62,7 @@ class DyonSolution:
         psi(inf) for a constant J but psi(1) for a callable J: lambda r: J0 gives
         the profile of the constant J0 shifted by -J0 v / 2."""
         if np.any(np.asarray(r) <= 0):
-            raise NonPositiveRadius("radius must be positive")
+            raise ValueError("radius must be positive")
         if not callable(self.J):
             return self.J_at(r) @ self.v / (2.0 * r) + self.v_prime
         # imported here: loading scipy.integrate costs more than the rest of
@@ -101,7 +88,7 @@ class DyonSolution:
         X = grid.points()
         r = np.linalg.norm(X, axis=-1)
         if np.any(r <= 0):
-            raise NonPositiveRadius("grid touches the puncture")
+            raise ValueError("grid touches the puncture")
         if callable(self.J):
             psi = np.stack([self.psi(val) for val in r.ravel()]).reshape(r.shape + (self.rank2n,))
         else:
@@ -126,7 +113,7 @@ def dyon_construct(J, v, v_prime, type_ctx=None):
     J0 = J(1.0) if callable(J) else J
     ok, report = taming.is_taming(J0, tol=1e-9)
     if not ok:
-        raise taming.NotATaming(f"J fails the taming invariants: {report}")
+        raise ValueError(f"J fails the taming invariants: {report}")
     if np.max(np.abs(v - np.round(v))) > 1e-8:
         warnings.warn("charge vector v is not integral; the solution exists "
                       "but fails flux quantization", NonIntegerVWarning,
@@ -140,7 +127,7 @@ def dyon_verify(sol, radii):
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
-        raise NonPositiveRadius("radii must be positive")
+        raise ValueError("radii must be positive")
     c = sol.curvature_coeff()
     eq_res = 0.0
     integ_res = 0.0
@@ -189,7 +176,7 @@ def flux_quantization(sol):
     integrand = np.einsum("...jab,...a,...b->...j", V, t_phi, du)
     flux = np.einsum("uvj,u->j", integrand, wu) * (2 * np.pi / 64)
     if not np.all(np.isfinite(flux)):
-        raise QuadratureFailure("non-finite quadrature result")
+        raise ValueError("non-finite quadrature result")
     normalized = flux / (2 * np.pi)
     member = bool(np.max(np.abs(normalized - np.round(normalized))) < 1e-8)
     if np.max(np.abs(normalized + sol.v)) < 1e-8:
@@ -217,7 +204,7 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):
     and the potential form of B on a sample grid.
     """
     if g_sq <= 0:
-        raise InvalidCoupling("g^2 must be positive")
+        raise ValueError("g^2 must be positive")
     J = taming.electrodynamics_taming(theta, g_sq)
     v = np.array([float(q_e), float(q_m)])
     with warnings.catch_warnings():
@@ -269,14 +256,14 @@ def h_theta_fiber_check(grid, E_vec, B_vec, Phi, Upsilon, theta, g_sq):
     psi = (-Phi, Upsilon) matches (E, -(theta/2pi) E - (4pi/g^2) B).
     """
     if g_sq <= 0:
-        raise InvalidCoupling("g^2 must be positive")
+        raise ValueError("g^2 must be positive")
     E_vec = np.asarray(E_vec, dtype=float)
     B_vec = np.asarray(B_vec, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
     Upsilon = np.asarray(Upsilon, dtype=float)
     if E_vec.shape != B_vec.shape or Phi.shape != Upsilon.shape \
             or E_vec.shape[:3] != Phi.shape[:3] or E_vec.shape[:3] != grid.shape:
-        raise SampleMismatch("fields must share the grid sample set")
+        raise ValueError("fields must share the grid sample set")
 
     grad_phi = reduction3d.sharp(grid, reduction3d.grad_nodes(grid, Phi))
     grad_ups = reduction3d.sharp(grid, reduction3d.grad_nodes(grid, Upsilon))

@@ -19,17 +19,8 @@ from math import factorial
 import numpy as np
 
 from . import taming
-from .symplattice import DimensionMismatch, NotSymplectic
 
 COMPOSED_TOL = 1e-9
-
-
-class WrongSignature(ValueError):
-    pass
-
-
-class RankMismatch(ValueError):
-    pass
 
 
 def levi_civita(d):
@@ -106,7 +97,7 @@ class LorentzPoint:
             raise ValueError("orientation must be +1 or -1")
         eig = np.linalg.eigvalsh(self.metric)
         if np.sum(eig < 0) != 1 or np.sum(eig > 0) != 3:
-            raise WrongSignature("metric must have mostly-plus signature (3,1)")
+            raise ValueError("metric must have mostly-plus signature (3,1)")
 
 
 def as_two_form(coeffs):
@@ -134,7 +125,7 @@ def polarized_star(p, J, V):
     V = as_two_form(V)
     J = np.asarray(J, dtype=float)
     if J.shape[0] != V.shape[0]:
-        raise RankMismatch(f"J is {J.shape[0]}-dim but form has rank {V.shape[0]}")
+        raise ValueError(f"J is {J.shape[0]}-dim but form has rank {V.shape[0]}")
     return np.einsum("jk,kab->jab", J, hodge_star(p.metric, V, 2, p.orientation))
 
 
@@ -150,7 +141,7 @@ def g_map(p, N, F):
     F = as_two_form(F)
     N = N if isinstance(N, taming.PeriodMatrix) else taming.PeriodMatrix(*N)
     if N.n != F.shape[0]:
-        raise DimensionMismatch(f"period matrix rank {N.n} vs form rank {F.shape[0]}")
+        raise ValueError(f"period matrix rank {N.n} vs form rank {F.shape[0]}")
     sF = hodge_star(p.metric, F, 2, p.orientation)
     return -np.einsum("ij,jab->iab", N.R, F) - np.einsum("ij,jab->iab", N.I, sF)
 
@@ -158,14 +149,15 @@ def g_map(p, N, F):
 def check_polarized_selfdual(p, N, V, tol=COMPOSED_TOL):
     """Test *V = -J V with J the taming of N; extract the upper half.
 
-    Returns (ok, F, report).  When ok, F is the first n components and the
-    last n components agree with g_map(p, N, F) within tol; the report also
-    carries the equivalent global-form residual of (star_{g,J} V - V).
+    Returns (ok, F, report), F the first n components.  ok needs *V = -J V
+    within tol and, once that holds, the last n components within 10 tol of
+    g_map(p, N, F) (report's lower_gap), both relative to max(1, |V|); the
+    report also carries the equivalent global-form residual of (star_{g,J} V - V).
     """
     V = as_two_form(V)
     N = N if isinstance(N, taming.PeriodMatrix) else taming.PeriodMatrix(*N)
     if V.shape[0] != 2 * N.n:
-        raise DimensionMismatch("form rank must be twice the period-matrix rank")
+        raise ValueError("form rank must be twice the period-matrix rank")
     J = taming.theta_forward(N)
     sV = hodge_star(p.metric, V, 2, p.orientation)
     residual = float(np.max(np.abs(sV + np.einsum("jk,kab->jab", J, V))))
@@ -175,11 +167,9 @@ def check_polarized_selfdual(p, N, V, tol=COMPOSED_TOL):
     report = {"residual": residual, "global_residual": global_residual}
     F = V[: N.n]
     if ok:
-        lower_gap = float(np.max(np.abs(V[N.n:] - g_map(p, N, F))))
-        report["lower_gap"] = lower_gap
-        if lower_gap >= 10 * tol * scale:
-            raise RuntimeError(f"lower half misses g_map(p, N, F) by {lower_gap:.3g} "
-                             f"although *V = -J V holds to {residual:.3g}")
+        # V_lower - g_map(F) is I times the upper rows' residual, so it can exceed it by |I|
+        report["lower_gap"] = float(np.max(np.abs(V[N.n:] - g_map(p, N, F))))
+        ok = report["lower_gap"] < 10 * tol * scale
     return ok, F, report
 
 
@@ -188,9 +178,9 @@ def duality_act(gamma, V):
     V = as_two_form(V)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape[0] != V.shape[0]:
-        raise RankMismatch("gamma size does not match form rank")
+        raise ValueError("gamma size does not match form rank")
     if not taming.is_symplectic(gamma):
-        raise NotSymplectic("duality transformations must be symplectic")
+        raise ValueError("duality transformations must be symplectic")
     return np.einsum("jk,kab->jab", gamma, V)
 
 

@@ -13,14 +13,6 @@ from . import siegel
 from . import symplattice as sl
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
-class DegenerateLattice(ValueError):
-    pass
-
-
 class BoundTooLargeForBudget(ValueError):
     pass
 
@@ -72,7 +64,7 @@ def validate_representation(pres, rep):
     """True iff every relator evaluates to the identity (membership of the
     images is enforced by construction of the Representation)."""
     if pres.n_generators != len(rep.images):
-        raise ShapeMismatch("generator count does not match image count")
+        raise ValueError("generator count does not match image count")
     return all(rep.evaluate(word).is_identity() for word in pres.relators)
 
 
@@ -94,7 +86,7 @@ def verify_dirac_system(images, lattice_basis):
     if m % 2 or not xm.is_square(L):
         raise ValueError("lattice basis must be square of even dimension")
     if (d := xm.det(L)) == 0:
-        raise DegenerateLattice("lattice basis is singular")
+        raise ValueError("lattice basis is singular")
     n = m // 2
     W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
     # L^-1 = adj(L) / det L, the adjugate from the cofactors
@@ -103,9 +95,9 @@ def verify_dirac_system(images, lattice_basis):
     for T in images:
         T = xm.to_fraction(T)
         if len(T) != m or not xm.is_square(T):
-            raise ShapeMismatch(f"images must be {m}x{m}, like the lattice basis")
+            raise ValueError(f"images must be {m}x{m}, like the lattice basis")
         if not siegel.preserves_form(T, sl.delta(n)):
-            raise sl.NotSymplectic("image is not symplectic for the standard form")
+            raise ValueError("image is not symplectic for the standard form")
         C = xm.matmul(Linv, xm.matmul(T, L))
         # det C = det T = 1, so an integral C has an integral inverse
         if not xm.is_integral(C):
@@ -146,7 +138,7 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
-        raise ShapeMismatch("representations are not comparable")
+        raise ValueError("representations are not comparable")
     # conjugation invariants give a cheap decisive prefilter
     for a, b in zip(rep1.images, rep2.images):
         if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \

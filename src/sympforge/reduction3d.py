@@ -16,15 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms4d, taming
-from .forms4d import RankMismatch
-
-
-class NotStaticMetric(ValueError):
-    pass
-
-
-class GridTooSmall(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class Grid3:
         if len(self.shape) != 3 or len(self.spacing) != 3:
             raise ValueError("shape and spacing must have three entries")
         if min(self.shape) < 3:
-            raise GridTooSmall("need at least 3 nodes per axis for central differences")
+            raise ValueError("need at least 3 nodes per axis for central differences")
         if not all(0 < h < np.inf for h in self.spacing):
             raise ValueError("spacing must be positive and finite")
         h = np.asarray(np.eye(3) if self.metric is None else self.metric, dtype=float).view()
@@ -94,7 +85,7 @@ def _contract(J, x):
     """np.einsum("...jk,...ka->...ja", J, x), J constant or per node, summed in its order."""
     J = np.asarray(J, dtype=float)
     if J.shape[-2:] != (x.shape[-2],) * 2:
-        raise RankMismatch("taming size does not match field rank")
+        raise ValueError("taming size does not match field rank")
     out = J[..., :, :1] * x[..., :1, :]
     for k in range(1, J.shape[-1]):
         out += J[..., :, k:k + 1] * x[..., k:k + 1, :]
@@ -107,7 +98,7 @@ def _contract(J, x):
 def _check_static(p):
     g = p.metric
     if abs(g[0, 0] + 1.0) > 1e-12 or np.max(np.abs(g[0, 1:])) > 1e-12:
-        raise NotStaticMetric("metric must be -dt^2 + h in coordinates (t,x,y,z)")
+        raise ValueError("metric must be -dt^2 + h in coordinates (t,x,y,z)")
     return g[1:, 1:]
 
 

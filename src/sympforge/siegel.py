@@ -14,15 +14,6 @@ from math import gcd, lcm
 
 from . import exactmat as xm
 from . import symplattice as sl
-from .symplattice import DimensionMismatch, NotSymplectic
-
-
-class TypeContextMismatch(ValueError):
-    pass
-
-
-class NotFound(Exception):
-    """No type within the search bound makes the matrix integral."""
 
 
 def is_member(S, t):
@@ -32,7 +23,7 @@ def is_member(S, t):
     """
     t = sl.validate_type(t)
     if not xm.is_square(S) or len(S) != 2 * len(t):
-        raise DimensionMismatch(f"expected a {2*len(t)}x{2*len(t)} matrix")
+        raise ValueError(f"expected a {2*len(t)}x{2*len(t)} matrix")
     return xm.is_integral(S) and preserves_form(xm.to_int(S), t)
 
 
@@ -73,7 +64,7 @@ class SiegelElement:
     def make(matrix, type_ctx):
         t = sl.validate_type(type_ctx)
         if not is_member(matrix, t):
-            raise NotSymplectic("matrix does not preserve the type-t Gram matrix")
+            raise ValueError("matrix does not preserve the type-t Gram matrix")
         return SiegelElement(tuple(tuple(int(x) for x in row) for row in matrix), t)
 
     def rows(self):
@@ -86,12 +77,12 @@ class SiegelElement:
                 for j in range(m)] for i in range(m)]
         inv = _diag_conjugate(adj, self.type_ctx * 2)
         if inv is None:
-            raise NotSymplectic("matrix does not preserve the type-t Gram matrix")
+            raise ValueError("matrix does not preserve the type-t Gram matrix")
         return SiegelElement(tuple(map(tuple, inv)), self.type_ctx)
 
     def __matmul__(self, other):
         if self.type_ctx != other.type_ctx:
-            raise TypeContextMismatch("elements live in groups of different type")
+            raise ValueError("elements live in groups of different type")
         product = xm.matmul(self.matrix, other.matrix)
         return SiegelElement(tuple(map(tuple, product)), self.type_ctx)
 
@@ -111,15 +102,15 @@ def element_min_type(T):
     chain is the minimum if any type is admissible.  Like the types a search
     would try, its entries must divide cap = (lcm of entry denominators)^n;
     without that bound the raising need not stop (D_11 = 1/2 doubles t_1 on
-    each pass).  Raises NotFound when an entry leaves cap or A, C fail.
+    each pass).  Returns None when an entry leaves cap or A, C fail.
     """
     T = xm.to_fraction(T)
     m = len(T)
     if not xm.is_square(T) or m % 2:
-        raise DimensionMismatch("matrix must be square of even dimension")
+        raise ValueError("matrix must be square of even dimension")
     n = m // 2
     if not preserves_form(T, sl.delta(n)):
-        raise NotSymplectic("matrix is not symplectic for the standard form")
+        raise ValueError("matrix is not symplectic for the standard form")
 
     cap = lcm(*(x.denominator for row in T for x in row)) ** n
     D = [row[n:] for row in T[n:]]
@@ -133,12 +124,10 @@ def element_min_type(T):
                          for i in range(n)))
             if need != t[j]:
                 if cap % need:
-                    raise NotFound(f"no admissible type with entries dividing {cap}")
+                    return None
                 t[j], changed = need, True
     t = tuple(t)
-    if _diag_conjugate(T, (1,) * n + t) is None:
-        raise NotFound(f"no admissible type with entries dividing {cap}")
-    return t
+    return None if _diag_conjugate(T, (1,) * n + t) is None else t
 
 
 def transport(S, t, t2):
@@ -149,7 +138,7 @@ def transport(S, t, t2):
     """
     t, t2 = sl.validate_type(t), sl.validate_type(t2)
     if len(t) != len(t2) or not xm.is_square(S) or len(S) != 2 * len(t):
-        raise DimensionMismatch("matrix and types do not have matching sizes")
+        raise ValueError("matrix and types do not have matching sizes")
     c = (t[-1],) * len(t) + tuple(t[-1] * b // a for a, b in zip(t, t2))
     return _diag_conjugate(xm.to_fraction(S), c)
 
@@ -170,7 +159,7 @@ class AffElement:
     def make(translation, rotation):
         a = tuple(_mod1(x) for x in translation)
         if len(a) != len(rotation.matrix):
-            raise DimensionMismatch("translation length does not match rotation size")
+            raise ValueError("translation length does not match rotation size")
         return AffElement(a, rotation)
 
     @staticmethod
@@ -185,7 +174,7 @@ class AffElement:
 def aff_compose(g1, g2):
     """(a1, r1)(a2, r2) = (a1 + r1 a2 mod 1, r1 r2)."""
     if g1.rotation.type_ctx != g2.rotation.type_ctx:
-        raise TypeContextMismatch("elements live in groups of different type")
+        raise ValueError("elements live in groups of different type")
     moved = xm.matvec(g1.rotation.matrix, g2.translation)
     a = tuple(_mod1(x + y) for x, y in zip(g1.translation, moved))
     return AffElement(a, g1.rotation @ g2.rotation)
@@ -206,7 +195,7 @@ def isogeny_kernel(t, t2):
     """Cyclic factors (q_1, ..., q_n) = (t2_i / t_i) of the isogeny kernel."""
     t, t2 = sl.validate_type(t), sl.validate_type(t2)
     if not sl.type_leq(t, t2):
-        raise sl.NotComparable(f"{t} does not divide {t2} componentwise")
+        raise ValueError(f"{t} does not divide {t2} componentwise")
     return tuple(b // a for a, b in zip(t, t2))
 
 

@@ -16,30 +16,6 @@ from math import gcd, lcm
 from . import exactmat as xm
 
 
-class OddDimension(ValueError):
-    pass
-
-
-class DegenerateForm(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class NotComparable(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-class NotSymplectic(ValueError):
-    pass
-
-
 def validate_type(t):
     """Check the divisibility-chain condition on a type vector."""
     t = tuple(int(x) for x in t)
@@ -77,7 +53,7 @@ def check_gram(omega):
     if not xm.is_square(omega):
         raise ValueError("Gram matrix must be square")
     if m % 2 != 0:
-        raise OddDimension(f"dimension {m} is odd")
+        raise ValueError(f"dimension {m} is odd")
     for i in range(m):
         for j in range(m):
             if omega[i][j] != -omega[j][i]:
@@ -142,7 +118,7 @@ def symplectic_normal_form(omega):
                 if A[i][j] != 0 and (best is None or abs(A[i][j]) < best[0]):
                     best = (abs(A[i][j]), i, j)
         if best is None:
-            raise DegenerateForm("Gram matrix is degenerate")
+            raise ValueError("Gram matrix is degenerate")
         _, i, j = best
         if i != s:
             _swap(A, U, i, s)
@@ -186,7 +162,7 @@ def type_leq(t, t2):
     """Partial order on types: componentwise divisibility."""
     t, t2 = validate_type(t), validate_type(t2)
     if len(t) != len(t2):
-        raise LengthMismatch("type vectors have different lengths")
+        raise ValueError("type vectors have different lengths")
     return all(b % a == 0 for a, b in zip(t, t2))
 
 
@@ -194,7 +170,7 @@ def type_meet_join(t, t2):
     """(meet, join) = componentwise (gcd, lcm); both are valid chains."""
     t, t2 = validate_type(t), validate_type(t2)
     if len(t) != len(t2):
-        raise LengthMismatch("type vectors have different lengths")
+        raise ValueError("type vectors have different lengths")
     meet = tuple(gcd(a, b) for a, b in zip(t, t2))
     join = tuple(lcm(a, b) for a, b in zip(t, t2))
     return validate_type(meet), validate_type(join)
@@ -209,7 +185,7 @@ def refine_sublattice(t, t2):
     """
     t, t2 = validate_type(t), validate_type(t2)
     if not type_leq(t, t2):
-        raise NotComparable(f"{t} does not divide {t2} componentwise")
+        raise ValueError(f"{t} does not divide {t2} componentwise")
     n = len(t)
     B = xm.zeros(2 * n, 2 * n)
     for i in range(n):

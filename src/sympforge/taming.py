@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symplattice as sl
-from .symplattice import NotSymplectic
 
 ALG_TOL = 1e-10    # single algebraic identities on well-conditioned input
 ROUNDTRIP_TOL = 1e-9
@@ -27,18 +26,6 @@ def close_to_transpose(x, sign, atol):
         return True
     y = sign * xT
     return bool((((d <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
-
-
-class SingularImaginaryPart(ValueError):
-    pass
-
-
-class SingularBlock(ValueError):
-    pass
-
-
-class NotATaming(ValueError):
-    pass
 
 
 @dataclass
@@ -99,7 +86,7 @@ def theta_forward(N):
     try:
         Iinv = np.linalg.inv(I)
     except np.linalg.LinAlgError:
-        raise SingularImaginaryPart("imaginary part is singular") from None
+        raise ValueError("imaginary part is singular") from None
     top = np.hstack([Iinv @ R, Iinv])
     bot = np.hstack([-I - R @ Iinv @ R, -R @ Iinv])
     return np.vstack([top, bot])
@@ -110,13 +97,13 @@ def theta_inverse(J):
     J = np.asarray(J, dtype=float)
     ok, report = is_taming(J)
     if not ok:
-        raise NotATaming(f"taming invariants fail: {report}")
+        raise ValueError(f"taming invariants fail: {report}")
     n = J.shape[0] // 2
     J11, J12 = J[:n, :n], J[:n, n:]
     try:
         I = np.linalg.inv(J12)
     except np.linalg.LinAlgError:
-        raise SingularBlock("upper-right block is singular") from None
+        raise ValueError("upper-right block is singular") from None
     R = I @ J11
     # symmetrize away roundoff before validation
     return PeriodMatrix(0.5 * (R + R.T), 0.5 * (I + I.T))
@@ -133,7 +120,7 @@ def taming_conjugate(J, g):
     J = np.asarray(J, dtype=float)
     g = np.asarray(g, dtype=float)
     if not is_symplectic(g):
-        raise NotSymplectic("conjugator is not symplectic")
+        raise ValueError("conjugator is not symplectic")
     return g @ J @ np.linalg.inv(g)
 
 

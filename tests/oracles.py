@@ -44,7 +44,7 @@ def box_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
-        raise monodromy.ShapeMismatch("representations are not comparable")
+        raise ValueError("representations are not comparable")
     for a, b in zip(rep1.images, rep2.images):
         if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
            sum(b.matrix[i][i] for i in range(len(b.matrix))):
@@ -85,7 +85,7 @@ def lattice_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):
     if entry_bound < 0:
         raise ValueError("entry bound must be non-negative")
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
-        raise monodromy.ShapeMismatch("representations are not comparable")
+        raise ValueError("representations are not comparable")
     for a, b in zip(rep1.images, rep2.images):
         if sum(a.matrix[i][i] for i in range(len(a.matrix))) != \
            sum(b.matrix[i][i] for i in range(len(b.matrix))):

@@ -131,6 +131,21 @@ def test_selfdual_check(tmp_path, capsys):
     assert code == 1 and report["selfdual"] is False
 
 
+def test_selfdual_check_reports_a_lower_half_off_g_map_as_false(tmp_path):
+    # *V = -J V holds to 5e-10, but the lower half misses g_map(p, N, F) by 5e-7
+    coeffs = np.zeros((2, 4, 4))
+    coeffs[1, 0, 1], coeffs[1, 1, 0] = 5e-7, -5e-7
+    payload = {"metric": np.diag([-1.0, 1.0, 1e-4, 1e-4]).tolist(), "orientation": 1,
+               "N": {"R": [[0.0]], "I": [[1000.0]]},
+               "V": {"rank": 2, "coeffs": coeffs.tolist()}}
+    proc = run_python("-m", "sympforge.cli", "selfdual", "check",
+                      "--in", write(tmp_path, "sd.json", payload))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    report = strict_loads(proc.stdout)
+    assert report["selfdual"] is False and "F" not in report
+    assert report["report"]["lower_gap"] == pytest.approx(5e-7)
+
+
 def test_reduce_astdec_check(tmp_path, capsys):
     w = forms4d.random_two_form(np.random.default_rng(1), 2)
     payload = {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(),
@@ -329,7 +344,8 @@ def binary_grid_header(tmp_path, psi_file):
                                   "null_affine_element", "object_in_float_matrix",
                                   "null_charge", "nan_charge_argument", "zero_spacing",
                                   "ragged_dirac_image", "dyon_flux_without_in",
-                                  "grid_fields_lack_V", "missing_input_file"])
+                                  "grid_fields_lack_V", "missing_input_file",
+                                  "dyon_type_too_long", "dyon_flux_type_too_long"])
 def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
     if case == "tol_env_not_a_number":
         monkeypatch.setenv("SYMPFORGE_TOL", "abc")
@@ -387,6 +403,11 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
         argv = ["bogomolny", "residual", "--in", write(tmp_path, "grid.json", header)]
     elif case == "missing_input_file":
         argv = ["lattice", "type", "--in", str(tmp_path / "absent.json")]
+    elif case == "dyon_type_too_long":
+        argv = ["dyon", "build", "--v", "0,1", "--type", "2,4,8"]
+    elif case == "dyon_flux_type_too_long":
+        payload = {"v": [0, 1], "J": [[0.0, 1.0], [-1.0, 0.0]], "type": [3, 6]}
+        argv = ["dyon", "flux", "--in", write(tmp_path, "dyon.json", payload)]
     else:
         psi_file = {"missing_payload": "absent.f64",
                     "payload_outside_header_dir": "../psi.f64",
@@ -613,11 +634,8 @@ N = taming.PeriodMatrix([[0.0]], [[1.0]])
 F = forms4d.random_two_form(np.random.default_rng(0), 1)
 V = np.concatenate([F, forms4d.g_map(p, N, F)])
 print(__debug__, forms4d.check_polarized_selfdual(p, N, V)[0])
-forms4d.g_map = lambda p, N, F: 0 * F   # breaks the lower-half post-condition
-try:
-    forms4d.check_polarized_selfdual(p, N, V)
-except RuntimeError:
-    print("raised")
+forms4d.g_map = lambda p, N, F: 0 * F   # breaks the lower-half condition
+print(forms4d.check_polarized_selfdual(p, N, V)[0])
 """
 
 
@@ -630,4 +648,4 @@ def test_child_process_manifest_records_its_argv():
 def test_selfdual_postcondition_checked_under_optimize():
     proc = run_python("-O", "-c", SELFDUAL_UNDER_O)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "raised"]
+    assert proc.stdout.split() == ["False", "True", "False"]

@@ -40,7 +40,7 @@ def test_star_of_zero():
 
 
 def test_rejects_riemannian_signature():
-    with pytest.raises(forms4d.WrongSignature):
+    with pytest.raises(ValueError, match=r"mostly-plus signature \(3,1\)"):
         forms4d.LorentzPoint(np.eye(4))
 
 
@@ -72,7 +72,7 @@ def test_polarized_star_of_zero():
 
 def test_polarized_star_rank_mismatch():
     J = np.eye(4)
-    with pytest.raises(forms4d.RankMismatch):
+    with pytest.raises(ValueError, match="J is 4-dim but form has rank 2"):
         forms4d.polarized_star(MINK, J, np.zeros((2, 4, 4)))
 
 
@@ -141,6 +141,18 @@ def test_selfdual_check_zero_form():
     assert np.allclose(F, 0.0)
 
 
+def test_selfdual_check_refuses_a_lower_half_off_g_map():
+    # the star takes e01 to 1e-4 e23, so *V = -J V holds to 5e-10 while the lower
+    # half, I = 1000 times the upper rows' residual, misses g_map(p, N, F) by 5e-7
+    p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1e-4, 1e-4]))
+    N = taming.PeriodMatrix([[0.0]], [[1000.0]])
+    V = np.concatenate([np.zeros((1, 4, 4)), 5e-7 * basis_two_form(0, 1)])
+    ok, _, report = forms4d.check_polarized_selfdual(p, N, V)
+    assert ok is False
+    assert report["residual"] < 1e-9
+    assert report["lower_gap"] == pytest.approx(5e-7)
+
+
 def test_duality_act_identity():
     V = forms4d.random_two_form(np.random.default_rng(7), 2)
     assert np.allclose(forms4d.duality_act(np.eye(2), V), V)
@@ -148,7 +160,7 @@ def test_duality_act_identity():
 
 def test_duality_act_rejects_non_symplectic():
     V = np.zeros((2, 4, 4))
-    with pytest.raises(forms4d.NotSymplectic):
+    with pytest.raises(ValueError, match="duality transformations must be symplectic"):
         forms4d.duality_act(2 * np.eye(2), V)
 
 

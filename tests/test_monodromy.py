@@ -31,14 +31,14 @@ def test_abelian_relator_noncommuting_images():
 
 
 def test_non_member_image_rejected_at_construction():
-    with pytest.raises(siegel.NotSymplectic):
+    with pytest.raises(ValueError, match="does not preserve the type-t Gram matrix"):
         make_rep([[[2, 0], [0, 1]]])
 
 
 def test_validate_shape_mismatch():
     pres = monodromy.Presentation.make(2, [])
     rep = make_rep([[[1, 1], [0, 1]]])
-    with pytest.raises(monodromy.ShapeMismatch):
+    with pytest.raises(ValueError, match="generator count does not match image count"):
         monodromy.validate_representation(pres, rep)
 
 
@@ -100,7 +100,7 @@ def test_dirac_planted_type_in_dimension_four():
 
 
 def test_dirac_rejects_degenerate_lattice():
-    with pytest.raises(monodromy.DegenerateLattice):
+    with pytest.raises(ValueError, match="lattice basis is singular"):
         monodromy.verify_dirac_system([xm.identity(2)], [[1, 1], [1, 1]])
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from sympforge import exactmat as xm
 from sympforge import siegel
-from sympforge import symplattice as sl
 
 
 def test_identity_is_member_any_type():
@@ -22,7 +21,7 @@ def test_scaling_not_member_at_type_two():
 
 
 def test_is_member_dimension_mismatch():
-    with pytest.raises(siegel.DimensionMismatch):
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
         siegel.is_member(xm.identity(2), (1, 2))
 
 
@@ -41,7 +40,7 @@ def test_min_type_third_shear():
 
 
 def test_min_type_rejects_non_symplectic():
-    with pytest.raises(siegel.NotSymplectic):
+    with pytest.raises(ValueError, match="not symplectic for the standard form"):
         siegel.element_min_type([[2, 0], [0, 1]])
 
 
@@ -116,7 +115,7 @@ def test_isogeny_kernel_examples():
 
 
 def test_isogeny_kernel_not_comparable():
-    with pytest.raises(sl.NotComparable):
+    with pytest.raises(ValueError, match=r"\(2,\) does not divide \(3,\) componentwise"):
         siegel.isogeny_kernel((2,), (3,))
 
 
@@ -157,5 +156,5 @@ def test_aff_associativity_exact():
 def test_type_context_mismatch():
     a = siegel.AffElement.identity_element((1,))
     b = siegel.AffElement.identity_element((2,))
-    with pytest.raises(siegel.TypeContextMismatch):
+    with pytest.raises(ValueError, match="elements live in groups of different type"):
         siegel.aff_compose(a, b)
