@@ -12,13 +12,26 @@ post-condition here is an exact matrix identity, never a tolerance.
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from . import exactmat as xm
 
 
+def _ints(xs, message):
+    """The entries of xs as ints; ValueError(message) unless each is an integer."""
+    xs = tuple(xs)
+    try:
+        out = tuple(map(int, xs))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != xs:
+        raise ValueError(message)
+    return out
+
+
 def validate_type(t):
     """Check the divisibility-chain condition on a type vector."""
-    t = tuple(int(x) for x in t)
+    t = _ints(t, "type entries must be integers")
     if not t:
         raise ValueError("type vector must be non-empty")
     if any(x < 1 for x in t):
@@ -67,30 +80,45 @@ class NormalFormResult:
     type: tuple
 
 
-def _swap(A, U, p, q):
+def _swap(A, U, p, q, s):
     A[p], A[q] = A[q], A[p]
-    for row in A:
+    for row in A[s:]:
         row[p], row[q] = row[q], row[p]
-    for row in U:
-        row[p], row[q] = row[q], row[p]
+    U[p], U[q] = U[q], U[p]
 
 
-def _negate(A, U, p):
-    A[p] = [-x for x in A[p]]
-    for row in A:
-        row[p] = -row[p]
-    for row in U:
-        row[p] = -row[p]
+def _col_add(A, U, j, s, i, c, k, d):
+    # congruence v_j += c*v_i + d*v_k on A's trailing block s.. (the rest is 0); U[j] is v_j
+    Aj, Ai, Ak, Uj, Ui, Uk = A[j], A[i], A[k], U[j], U[i], U[k]
+    for r in range(s, len(A)):
+        Aj[r] += c * Ai[r] + d * Ak[r]
+        A[r][j] = -Aj[r]
+    Aj[j] = 0
+    for r in range(len(U)):
+        Uj[r] += c * Ui[r] + d * Uk[r]
 
 
-def _col_add(A, U, j, i, c):
-    # congruence v_j += c*v_i: column then row, mirrored on U's columns
-    for row in A:
-        row[j] += c * row[i]
-    for k in range(len(A)):
-        A[j][k] += c * A[i][k]
-    for row in U:
-        row[j] += c * row[i]
+def _mix(A, U, p, q, a, b, c, d, s):
+    # congruence (v_p, v_q) <- (a*v_p + b*v_q, c*v_p + d*v_q), ad - bc = 1
+    Ap, Aq, Up, Uq, apq = A[p], A[q], U[p], U[q], A[p][q]
+    for r in range(s, len(A)):
+        Ap[r], Aq[r] = a * Ap[r] + b * Aq[r], c * Ap[r] + d * Aq[r]
+    Ap[p], Ap[q], Aq[p], Aq[q] = 0, apq, -apq, 0
+    for r in range(s, len(A)):
+        A[r][p], A[r][q] = -Ap[r], -Aq[r]
+    for r in range(len(U)):
+        Up[r], Uq[r] = a * Up[r] + b * Uq[r], c * Up[r] + d * Uq[r]
+
+
+def _reduce_pair(U, p, pivot):
+    # finished pair (e, f) = (U[p], U[p+1]), <e, f> made |pivot|: f -= q e, e -= q' f
+    e, f = U[p], U[p + 1] if pivot > 0 else [-x for x in U[p + 1]]
+    ee, ef, ff = sum(map(mul, e, e)), sum(map(mul, e, f)), sum(map(mul, f, f))
+    q = (2 * ef + ee) // (2 * ee)
+    ef, ff = ef - q * ee, ff - 2 * q * ef + q * q * ee
+    f = [y - q * x for x, y in zip(e, f)] if q else f
+    q = (2 * ef + ff) // (2 * ff)
+    U[p], U[p + 1] = [x - q * y for x, y in zip(e, f)] if q else e, f
 
 
 def symplectic_normal_form(omega):
@@ -100,56 +128,58 @@ def symplectic_normal_form(omega):
 
         U^T Omega U = [[0, D_t], [-D_t, 0]],  D_t = diag(t),
 
-    exactly.  The reduction repeatedly isolates a hyperbolic pair on the
-    minimal nonzero entry, Euclid-reducing its rows until they clear, and
-    enforces that the pivot divides the remaining block before recursing.
+    exactly.  Pairs (e, f) split off in turn.  On the next trailing row e, an
+    extended-gcd step on its least entry and the entry that has the least
+    gcd with it gives f.  Other columns drop the nearest multiple of f plus
+    the multiple of the gcd step's partner column that cancels the old f in
+    it, so U widens by about the entries' width per pair, not per Euclid
+    pass.  Remainders re-pivot; once the pivot divides the block, row f
+    clears by multiples of e, and the pair is size-reduced both ways.
     """
     n = check_gram(omega)
     m = 2 * n
-    A = [[int(x) for x in row] for row in omega]
+    A = [list(_ints(row, "Gram matrix must be integral")) for row in omega]
     U = xm.identity(m)
     divisors = []
     s = 0
     while s < m:
-        # locate minimal-|.|  nonzero entry of the trailing block
-        best = None
-        for i in range(s, m):
-            for j in range(i + 1, m):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best[0]):
-                    best = (abs(A[i][j]), i, j)
-        if best is None:
-            raise ValueError("Gram matrix is degenerate")
-        _, i, j = best
-        if i != s:
-            _swap(A, U, i, s)
-        if j != s + 1:
-            _swap(A, U, j, s + 1)
-        if A[s][s + 1] < 0:
-            _negate(A, U, s + 1)
-
-        a = A[s][s + 1]
-        # Euclid-clear rows s and s+1 beyond column s+1
-        for col in range(s + 2, m):
-            q = A[s][col] // a
-            if q:
-                _col_add(A, U, col, s + 1, -q)
-            q = A[s + 1][col] // a
-            if q:
-                _col_add(A, U, col, s, q)
-        if any(A[s][col] or A[s + 1][col] for col in range(s + 2, m)):
-            continue  # a smaller entry appeared; re-pivot
-        # enforce divisibility of the remaining block by the pivot
-        bad = next(((k, l) for k in range(s + 2, m) for l in range(k + 1, m)
-                    if A[k][l] % a != 0), None)
-        if bad is not None:
-            _col_add(A, U, s, bad[0], 1)
-            continue
-        divisors.append(a)
+        while True:
+            row = A[s]
+            j = min((c for c in range(s + 1, m) if row[c]), key=lambda c: abs(row[c]), default=None)
+            if j is None:       # a zero row in the trailing block
+                raise ValueError("Gram matrix is degenerate")
+            _swap(A, U, j, s + 1, s)
+            a, w, h, r = row[s + 1], s + 1, 0, 1    # w = s + 1: no partner, weight 0
+            rest = [c for c in range(s + 2, m) if row[c] % a]
+            if rest:
+                w = min(rest, key=lambda c: (gcd(a, row[c]), abs(row[c])))
+                r, g = row[w], gcd(a, row[w])
+                x = pow(a // g, -1, abs(r) // g)      # x*a = g (mod r), |x| <= |r|/2g
+                x -= abs(r) // g if 2 * x > abs(r) // g else 0
+                _mix(A, U, s + 1, w, x, (g - x * a) // r, -r // g, a // g, s)
+                a, h = g, x * g
+            for c in range(s + 2, m):
+                q = (2 * row[c] + a) // (2 * a)             # nearest, for either sign of a
+                if q:
+                    _col_add(A, U, c, s, s + 1, -q, w, (-2 * q * h // r + 1) // 2)
+            if any(row[s + 2:]):
+                continue
+            bad = next((k for k in range(s + 1, m)
+                        if any(x % a for x in A[k][max(k + 1, s + 2):])), None)
+            if bad is not None:
+                _col_add(A, U, s, s, bad, 1, bad, 0)    # row e gains entries a does not divide
+                continue
+            for c in range(s + 2, m):
+                if A[s + 1][c]:
+                    _col_add(A, U, c, s, s, A[s + 1][c] // a, s, 0)
+            break
+        _reduce_pair(U, s, a)
+        divisors.append(abs(a))
         s += 2
 
     # reorder interleaved pairs (e1,f1,e2,f2,...) to (e1..en, f1..fn)
     perm = list(range(0, m, 2)) + list(range(1, m, 2))
-    U = [[row[p] for p in perm] for row in U]
+    U = [[U[p][r] for p in perm] for r in range(m)]
     return NormalFormResult(basis_change=U, type=tuple(divisors))
 
 

@@ -1,9 +1,10 @@
 """Brute-force oracles that the library's closed forms and lattice methods
-replaced: Gauss-Jordan inversion over the rationals, the conjugator search
-over the whole entry box, the enumeration of the intertwiner lattice that
-tries every value of the last coefficient, and the grid residuals that
-invert the metric (or the whole 4d metric -dt^2 + h) by LAPACK at every
-node instead of reading the factor Grid3 computes once."""
+replaced: Gauss-Jordan inversion over the rationals, Smith invariants by
+plain gcd elimination (the normal form's type, computed without its code),
+the conjugator search over the whole entry box, the enumeration of the
+intertwiner lattice that tries every value of the last coefficient, and the
+grid residuals that invert the metric (or the whole 4d metric -dt^2 + h) by
+LAPACK at every node instead of reading the factor Grid3 computes once."""
 
 from fractions import Fraction
 from itertools import product
@@ -35,6 +36,41 @@ def inverse(A):
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
                 Inv[r] = [x - f * y for x, y in zip(Inv[r], Inv[col])]
     return Inv
+
+
+def smith_invariants(M):
+    """Smith invariants d_1 | d_2 | ... of a nonsingular integer matrix.
+
+    Alternates row and column gcd elimination on the least entry of the
+    trailing block, and adds a row whose entries the pivot does not divide.
+    For Omega of type t they are (t_1, t_1, ..., t_n, t_n).
+    """
+    A = [[int(x) for x in row] for row in M]
+    m = len(A)
+    out = []
+    for k in range(m):
+        while True:
+            _, i, j = min((abs(A[i][j]), i, j) for i in range(k, m) for j in range(k, m)
+                          if A[i][j])
+            A[k], A[i] = A[i], A[k]
+            for row in A:
+                row[k], row[j] = row[j], row[k]
+            p = A[k][k]
+            for i in range(k + 1, m):
+                q = A[i][k] // p
+                A[i] = [x - q * y for x, y in zip(A[i], A[k])]
+            for j in range(k + 1, m):
+                q = A[k][j] // p
+                for row in A:
+                    row[j] -= q * row[k]
+            if any(A[i][k] for i in range(k + 1, m)) or any(A[k][k + 1:]):
+                continue
+            bad = next((i for i in range(k + 1, m) if any(x % p for x in A[i][k + 1:])), None)
+            if bad is None:
+                break
+            A[k] = [x + y for x, y in zip(A[k], A[bad])]
+        out.append(abs(p))
+    return out
 
 
 def box_conjugacy_test(rep1, rep2, entry_bound, budget=2_000_000):

@@ -1,11 +1,25 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import smith_invariants
 from sympforge import exactmat as xm
 from sympforge import symplattice as sl
 from sympforge.selftest import random_gram, random_unimodular
+
+
+def bounded_gram(rng, n, bound):
+    """Nondegenerate antisymmetric 2n x 2n matrix, entries uniform in [-bound, bound]."""
+    while True:
+        G = xm.zeros(2 * n, 2 * n)
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                G[i][j] = rng.randint(-bound, bound)
+                G[j][i] = -G[i][j]
+        if xm.det(G) != 0:
+            return G
 
 
 def test_standard_gram_principal():
@@ -144,3 +158,49 @@ def test_validate_type_rejects_broken_chain():
         sl.validate_type((2, 3))
     with pytest.raises(ValueError):
         sl.validate_type((0,))
+
+
+@pytest.mark.parametrize("omega", [[[0, 1.5], [-1.5, 0]],
+                                   [[0, Fraction(5, 2)], [Fraction(-5, 2), 0]],
+                                   [[0, 0.5], [-0.5, 0]],
+                                   [[0, float("inf")], [float("-inf"), 0]]])
+def test_non_integral_gram_is_refused(omega):
+    with pytest.raises(ValueError, match="Gram matrix must be integral"):
+        sl.space_type(omega)
+
+
+@pytest.mark.parametrize("t", [[2.5, 6], (1.7,), [1, float("nan")]])
+def test_non_integer_type_entries_are_refused(t):
+    with pytest.raises(ValueError, match="type entries must be integers"):
+        sl.validate_type(t)
+    with pytest.raises(ValueError, match="type entries must be integers"):
+        sl.standard_gram(t)
+
+
+def test_integral_values_of_any_number_type_are_accepted():
+    assert sl.space_type([[0, 2.0], [-2.0, 0]]) == (2,)
+    assert sl.space_type([[0, Fraction(4, 2)], [Fraction(-4, 2), 0]]) == (2,)
+    assert sl.validate_type([2.0, Fraction(6, 1)]) == (2, 6)
+
+
+@pytest.mark.parametrize("bound", [20, 10 ** 6])
+def test_normal_form_sweep_matches_smith_oracle(bound):
+    rng = random.Random(bound)
+    for n in range(1, 9):
+        for _ in range(8):
+            G = bounded_gram(rng, n, bound)
+            res = sl.symplectic_normal_form(G)
+            d = smith_invariants(G)
+            assert d[0::2] == d[1::2] and res.type == tuple(d[0::2])
+            assert sl.restrict_gram(G, res.basis_change) == sl.standard_gram(res.type)
+            assert abs(xm.det(res.basis_change)) == 1
+
+
+@pytest.mark.parametrize("bound, ceiling", [(20, 144), (10 ** 6, 750)])
+def test_basis_change_width_is_bounded_at_rank_16(bound, ceiling):
+    # U is not unique; this pins how wide the elimination lets it grow: the
+    # widest entry over these 30 draws has 129 and 679 bits, plus about 10%
+    rng = random.Random(16)
+    widths = [max(abs(x) for row in sl.symplectic_normal_form(bounded_gram(rng, 8, bound))
+                  .basis_change for x in row).bit_length() for _ in range(30)]
+    assert max(widths) <= ceiling
