@@ -1,10 +1,11 @@
 """Closed-form spherically symmetric polarized dyons on punctured R^3.
 
 For a constant taming J the radial Higgs field is psi(r) = J v / (2r) + v'
-and the curvature two-form is -(1/2) v times the solid-angle form, so the
-flux through any sphere around the puncture is -2 pi v.  The charge vector
-v must lie in the integer lattice for the solution to come from an honest
-principal connection; flux_quantization checks that through quadrature.
+and the curvature two-form is c = -(1/2) v times the solid-angle form sigma,
+so the flux through any sphere around the puncture is c times the integral of
+sigma, -2 pi v.  The charge vector v must lie in the integer lattice for the
+solution to come from an honest principal connection; flux_quantization
+checks that, with the integral of sigma taken once per process by quadrature.
 """
 
 import warnings
@@ -53,27 +54,31 @@ class DyonSolution:
         return self.J(r) if callable(self.J) else np.asarray(self.J, dtype=float)
 
     def dpsi_dr(self, r):
-        if np.any(np.asarray(r) <= 0):
+        """psi'(r); shape (*r.shape, 2n) for an array of radii and a constant J."""
+        x = np.asarray(r, dtype=float)
+        if np.any(x <= 0):
             raise ValueError("radius must be positive")
-        return -self.J_at(r) @ self.v / (2.0 * r**2)
+        return -self.J_at(r) @ self.v / (2.0 * x[..., None] ** 2)
 
     def psi(self, r):
-        """Higgs profile; closed form for constant J, quadrature otherwise.  v' is
-        psi(inf) for a constant J but psi(1) for a callable J: lambda r: J0 gives
-        the profile of the constant J0 shifted by -J0 v / 2."""
-        if np.any(np.asarray(r) <= 0):
+        """Higgs profile at a radius or an array of radii, shape (*r.shape, 2n); closed
+        form for constant J, quadrature otherwise.  v' is psi(inf) for a constant J but
+        psi(1) for a callable J: lambda r: J0 gives the profile of the constant J0
+        shifted by -J0 v / 2."""
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0):
             raise ValueError("radius must be positive")
         if not callable(self.J):
-            return self.J_at(r) @ self.v / (2.0 * r) + self.v_prime
+            return self.J_at(r) @ self.v / (2.0 * r[..., None]) + self.v_prime
         # imported here: loading scipy.integrate costs more than the rest of
         # the package, and only a radial taming needs it
         from scipy.integrate import quad
 
         # psi(r) = v' - int_1^r J(s) v / (2 s^2) ds, fixing psi(1) = v'
-        out = np.array([quad(lambda s, i=i: (self.J(s) @ self.v)[i] / (2 * s**2),
-                             1.0, r, epsrel=1e-10, epsabs=1e-13)[0]
-                        for i in range(self.rank2n)])
-        return self.v_prime - out
+        out = np.array([[quad(lambda s, i=i: (self.J(s) @ self.v)[i] / (2 * s**2),
+                              1.0, x, epsrel=1e-10, epsabs=1e-13)[0]
+                         for i in range(self.rank2n)] for x in r.ravel()])
+        return (self.v_prime - out).reshape(r.shape + (self.rank2n,))
 
     def curvature_coeff(self):
         """Constant vector c with V = c * (solid-angle form)."""
@@ -89,11 +94,7 @@ class DyonSolution:
         r = np.linalg.norm(X, axis=-1)
         if np.any(r <= 0):
             raise ValueError("grid touches the puncture")
-        if callable(self.J):
-            psi = np.stack([self.psi(val) for val in r.ravel()]).reshape(r.shape + (self.rank2n,))
-        else:
-            Jv = self.J_at(1.0) @ self.v
-            psi = Jv / (2.0 * r[..., None]) + self.v_prime
+        psi = self.psi(r)
         V = self.V_at(X)   # BogomolnyPair accepts inf, as allclose does: refused here
         if not np.isfinite(V).all():
             raise ValueError("sampled V is not finite")
@@ -151,7 +152,9 @@ class FluxReport:
 
 
 @cache
-def _sphere_nodes():  # points, tangent fields, u-weights of flux_quantization, as read-only views
+def _solid_angle_integral():
+    """The solid-angle form integrated over the unit sphere, 4 pi up to rounding:
+    32 Gauss-Legendre nodes in cos(polar) x 64 uniform azimuths."""
     u, wu = np.polynomial.legendre.leggauss(32)
     U, PHI = np.meshgrid(u, 2 * np.pi * np.arange(64) / 64, indexing="ij")
     s = np.sqrt(np.maximum(1 - U**2, 0.0))
@@ -161,20 +164,17 @@ def _sphere_nodes():  # points, tangent fields, u-weights of flux_quantization, 
     t_phi = np.stack([-s * np.sin(PHI), s * np.cos(PHI), np.zeros_like(U)], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         du = np.stack([-U / s * np.cos(PHI), -U / s * np.sin(PHI), np.ones_like(U)], axis=-1)
-    return tuple(np.broadcast_to(x, x.shape) for x in (pts, t_phi, np.nan_to_num(du), wu))
+    integrand = np.einsum("...ab,...a,...b->...", solid_angle_form(pts), t_phi, np.nan_to_num(du))
+    return float(np.einsum("uv,u->", integrand, wu)) * (2 * np.pi / 64)
 
 
 def flux_quantization(sol):
-    """Quadrature of the curvature over the unit sphere.
-
-    32 Gauss-Legendre nodes in cos(polar) x 64 uniform azimuths; the analytic
-    value is -2 pi v.  Membership is tested for both signs of flux / 2 pi
-    (the orientation of the sphere is a convention) against Z^{2n}.
+    """Flux of the curvature c sigma through the unit sphere, c times the
+    quadrature of sigma; the analytic value is -2 pi v.  Membership is tested for
+    both signs of flux / 2 pi (the orientation of the sphere is a convention)
+    against Z^{2n}.
     """
-    pts, t_phi, du, wu = _sphere_nodes()
-    V = sol.V_at(pts)  # (..., 2n, 3, 3)
-    integrand = np.einsum("...jab,...a,...b->...j", V, t_phi, du)
-    flux = np.einsum("uvj,u->j", integrand, wu) * (2 * np.pi / 64)
+    flux = sol.curvature_coeff() * _solid_angle_integral() + 0.0   # 0.0, not -0.0, at v_j = 0
     if not np.all(np.isfinite(flux)):
         raise ValueError("non-finite quadrature result")
     normalized = flux / (2 * np.pi)
@@ -216,11 +216,9 @@ def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):
     X = grid.points()
     r = np.linalg.norm(X, axis=-1)
     rhat = X / r[..., None]
-    Jv = J @ v
-    psi = Jv / (2.0 * r[..., None])
+    psi, dpsi = sol.psi(r), sol.dpsi_dr(r)   # dpsi: radial derivative, per component
     Phi = -psi[..., 0]
     Upsilon = psi[..., 1]
-    dpsi = -Jv / (2.0 * r[..., None] ** 2)  # radial derivative, per component
     E_vec = dpsi[..., 0:1] * rhat            # -grad Phi = grad psi_1
     B_vec = -(g_sq / (4 * np.pi)) * (dpsi[..., 1:2]
                                      + (theta / (2 * np.pi)) * dpsi[..., 0:1]) * rhat

@@ -6,7 +6,7 @@ within its entry bound.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm, prod
 
 from . import exactmat as xm
 from . import siegel
@@ -77,30 +77,32 @@ def verify_dirac_system(images, lattice_basis):
 
     images: rational matrices, each exactly symplectic for the principal
     form.  lattice_basis: columns spanning a full lattice.  True iff every
-    image preserves the lattice (the basis-conjugate and its inverse are
-    integral) and the form restricted to the lattice is integer-valued;
-    returns (ok, type) with the type of the restricted Gram matrix.
+    image preserves the lattice and the form restricted to the lattice is
+    integer-valued; returns (ok, type) with the type of the restricted Gram
+    matrix.  T preserves it iff D T L is integral, D the common denominator of
+    L, and adding its columns to those of D L keeps their covolume, the product
+    of the echelon form's leading entries (det T = 1 makes the lattices equal).
     """
     L = xm.to_fraction(lattice_basis)
     m = len(L)
     if m % 2 or not xm.is_square(L):
         raise ValueError("lattice basis must be square of even dimension")
-    if (d := xm.det(L)) == 0:
+    D = lcm(*(x.denominator for row in L for x in row))
+    DL = [[x.numerator * (D // x.denominator) for x in row] for row in L]
+    if len(E := xm.echelon(xm.transpose(DL))) < m:
         raise ValueError("lattice basis is singular")
+    covolume = lambda rows: prod(r[i] for i, r in enumerate(rows))   # of m echelon rows
     n = m // 2
     W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
-    # L^-1 = adj(L) / det L, the adjugate from the cofactors
-    minor = lambda i, j: [r[:j] + r[j + 1:] for k, r in enumerate(L) if k != i]
-    Linv = [[(-1) ** (i + j) * xm.det(minor(j, i)) / d for j in range(m)] for i in range(m)]
     for T in images:
         T = xm.to_fraction(T)
         if len(T) != m or not xm.is_square(T):
             raise ValueError(f"images must be {m}x{m}, like the lattice basis")
         if not siegel.preserves_form(T, sl.delta(n)):
             raise ValueError("image is not symplectic for the standard form")
-        C = xm.matmul(Linv, xm.matmul(T, L))
-        # det C = det T = 1, so an integral C has an integral inverse
-        if not xm.is_integral(C):
+        DTL = xm.matmul(T, DL)
+        if not xm.is_integral(DTL) or \
+                covolume(xm.echelon(E + xm.transpose(xm.to_int(DTL)))) != covolume(E):
             return False, None
     G = xm.matmul(xm.transpose(L), xm.matmul(W, L))
     if not xm.is_integral(G):

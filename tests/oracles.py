@@ -2,9 +2,11 @@
 replaced: Gauss-Jordan inversion over the rationals, Smith invariants by
 plain gcd elimination (the normal form's type, computed without its code),
 the conjugator search over the whole entry box, the enumeration of the
-intertwiner lattice that tries every value of the last coefficient, and the
+intertwiner lattice that tries every value of the last coefficient, the
 grid residuals that invert the metric (or the whole 4d metric -dt^2 + h) by
-LAPACK at every node instead of reading the factor Grid3 computes once."""
+LAPACK at every node instead of reading the factor Grid3 computes once, and
+the dyon flux by quadrature of the whole curvature instead of c times the
+integral of the solid-angle form."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from sympforge import exactmat as xm
-from sympforge import forms4d, monodromy, reduction3d, siegel
+from sympforge import dyons, forms4d, monodromy, reduction3d, siegel
 
 
 def inverse(A):
@@ -197,3 +199,20 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
         "dual_gauss": divergence(mix),
     }
     return {key: reduction3d._interior_max(val) for key, val in fields.items()}
+
+
+def flux_by_quadrature(sol):
+    """dyons.flux_quantization's flux by quadrature of V = c sigma over the unit
+    sphere at every call: 32 Gauss-Legendre nodes in cos(polar) x 64 uniform
+    azimuths, with the (phi, u) tangents in the order of the outward orientation."""
+    u, wu = np.polynomial.legendre.leggauss(32)
+    U, PHI = np.meshgrid(u, 2 * np.pi * np.arange(64) / 64, indexing="ij")
+    s = np.sqrt(np.maximum(1 - U**2, 0.0))
+    pts = np.stack([s * np.cos(PHI), s * np.sin(PHI), U], axis=-1)
+    t_phi = np.stack([-s * np.sin(PHI), s * np.cos(PHI), np.zeros_like(U)], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.nan_to_num(np.stack([-U / s * np.cos(PHI), -U / s * np.sin(PHI),
+                                     np.ones_like(U)], axis=-1))
+    V = sol.curvature_coeff()[:, None, None] * dyons.solid_angle_form(pts)[..., None, :, :]
+    integrand = np.einsum("...jab,...a,...b->...j", V, t_phi, du)
+    return np.einsum("uvj,u->j", integrand, wu) * (2 * np.pi / 64)

@@ -7,6 +7,7 @@ import pytest
 
 import sympforge
 from sympforge import dyons, reduction3d, taming
+from oracles import flux_by_quadrature
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -143,6 +144,50 @@ def test_flux_matches_analytic_for_random_charges():
         sol = dyons.dyon_construct(J, v, np.zeros(2 * n))
         rep = dyons.flux_quantization(sol)
         assert np.max(np.abs(rep.flux + 2 * np.pi * v)) < 1e-8
+
+
+def test_flux_is_the_quadrature_of_the_curvature():
+    """c times the once-integrated solid-angle form against the quadrature of the
+    whole curvature, for constant and radial tamings, integer and non-integer v."""
+    rng = np.random.default_rng(29)
+    for k in range(48):
+        n = k % 3 + 1
+        N = taming.random_period_matrix(n, rng)
+        J = taming.theta_forward(N) if k % 2 else \
+            (lambda r, N=N: taming.theta_forward(taming.PeriodMatrix(N.R, r * N.I)))
+        v = rng.integers(-3, 4, size=2 * n) + rng.uniform(-0.5, 0.5, 2 * n) * (k % 4 > 1)
+        v[k % (2 * n)] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dyons.NonIntegerVWarning)
+            sol = dyons.dyon_construct(J, v, rng.standard_normal(2 * n))
+        flux = dyons.flux_quantization(sol).flux
+        gap = np.max(np.abs(flux - flux_by_quadrature(sol)))
+        assert gap <= 1e-12 * max(1.0, np.max(np.abs(v)))
+        assert not np.signbit(flux[k % (2 * n)])   # a zero charge prints 0.0, not -0.0
+
+
+def test_psi_and_dpsi_dr_on_arrays_stack_the_per_radius_calls():
+    rng = np.random.default_rng(31)
+    N = taming.random_period_matrix(2, rng)
+    v, vprime = np.array([2.0, -1.0, 0.0, 3.0]), rng.standard_normal(4)
+    r = rng.uniform(0.2, 5.0, (2, 3))
+    const = dyons.dyon_construct(taming.theta_forward(N), v, vprime)
+    radial = dyons.dyon_construct(
+        lambda s: taming.theta_forward(taming.PeriodMatrix(N.R, s * N.I)), v, vprime)
+    for sol, fields in ((const, ("psi", "dpsi_dr")), (radial, ("psi",))):
+        for name in fields:
+            f = getattr(sol, name)
+            got, each = f(r), np.stack([f(float(x)) for x in r.ravel()])
+            assert got.shape == (2, 3, 4)
+            assert np.array_equal(got, each.reshape(got.shape))
+
+
+def test_electrodynamics_potentials_are_the_solutions_psi():
+    out = dyons.electrodynamics_dyon(0.7, 3.0, 1, -2)
+    r = np.linalg.norm(out["grid"].points(), axis=-1)
+    psi = out["solution"].psi(r)
+    assert np.array_equal(out["Phi"], -psi[..., 0])
+    assert np.array_equal(out["Upsilon"], psi[..., 1])
 
 
 def test_electrodynamics_monopole_potentials():

@@ -274,7 +274,7 @@ def test_min_type_explicit_cases(T, want):
 
 
 # ---------------------------------------------------------------------------
-# Dirac-system witness: the adjugate inverse of the lattice basis
+# Dirac-system witness: the covolume test of the lattice basis
 
 def dirac_oracle(images, L):
     """verify_dirac_system with L^-1 by Gauss-Jordan and the inverse of each
@@ -312,7 +312,8 @@ def test_dirac_verification_matches_gauss_jordan_oracle():
         basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
         while xm.det(basis) == 0:
             basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
-        for L in (xm.matmul(P, unimodular(rng, m)), basis):
+        fractional = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(basis)]
+        for L in (xm.matmul(P, unimodular(rng, m)), basis, fractional):
             got = monodromy.verify_dirac_system(images, L)
             assert got == dirac_oracle(images, L)
             outcomes.append(got)
