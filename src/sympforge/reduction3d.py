@@ -6,7 +6,9 @@ A static product metric -dt^2 + h splits a 4d two-form into a spatial
 star then factors through the 3d star of h, and the 4d lift is evaluated
 through two of them.  Grid3 checks h at every node and factors it once, as
 adjugate over determinant, into read-only arrays; every grid star, sharp and
-divergence reads that h, h^-1 and sqrt(det h).  Solving is done elsewhere --
+divergence reads that h, h^-1 and sqrt(det h).  Every contraction J x (J, R, I)
+is one plane-wise loop, a constant or per-node J alike, summed in np.einsum's order;
+fields, or a per-node J, off the grid's nodes are refused.  Solving is done elsewhere --
 this module only evaluates residuals, with second-order central differences
 and the one-cell boundary layer excluded.
 """
@@ -82,14 +84,20 @@ def _star(grid, form, degree):
 
 
 def _contract(J, x):
-    """np.einsum("...jk,...ka->...ja", J, x), J constant or per node, summed in its order."""
+    """np.einsum("...jk,...ka->...ja", J, x) in its order, by one plane-wise loop for either kind
+    of J: with the planes y[k] of x contiguous, out[j] = J[..., j, 0] y[0], then += J[..., j, k]
+    y[k] through one scratch plane (none for one component); returns a moveaxis view of out."""
     J = np.asarray(J, dtype=float)
     if J.shape[-2:] != (x.shape[-2],) * 2:
         raise ValueError("taming size does not match field rank")
-    out = J[..., :, :1] * x[..., :1, :]
-    for k in range(1, J.shape[-1]):
-        out += J[..., :, k:k + 1] * x[..., k:k + 1, :]
-    return out
+    y = np.ascontiguousarray(np.moveaxis(x, -2, 0))
+    out = np.empty(y.shape[:1] + np.broadcast_shapes(J.shape[:-2] + (1,), y.shape[1:]))
+    scratch = np.empty(out.shape[1:]) if len(y) > 1 else None
+    for j, plane in enumerate(out):   # J[..., j, k, None]: one coefficient, or one per node
+        np.multiply(J[..., j, 0, None], y[0], out=plane)
+        for k in range(1, len(y)):
+            plane += np.multiply(J[..., j, k, None], y[k], out=scratch)
+    return np.moveaxis(out, 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +182,19 @@ def _interior_max(x):
     return float(np.max(np.abs(x[(slice(1, -1),) * 3])))
 
 
+def _check_nodes(grid, fields, tamings):
+    if any(np.shape(f)[:3] != grid.shape for f in fields) or any(
+            np.ndim(t) > 2 and np.shape(t)[:-2] != grid.shape for t in tamings):
+        raise ValueError("fields must share the grid sample set")
+
+
 def bogomolny_residual(grid, J, pair):
     """Residuals of the polarized Bogomolny equation star_{h,J} V = d psi
     and of the closure condition d V = 0, aggregated over interior nodes.
     """
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
+    _check_nodes(grid, (pair.psi, pair.V), (J,))
     eq_field = _contract(J, _star(grid, pair.V, 2)) - grad_nodes(grid, pair.psi)
     # discrete exterior derivative of the 2-form: one 3-form component
     dV = (np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
@@ -198,6 +213,7 @@ def lift_to_4d(pair, grid, J):
     star_decompose_check's factorization: dt ^ (star_h V + J d psi) + J V - star_h d psi."""
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
+    _check_nodes(grid, (pair.psi, pair.V), (J,))
     dpsi, V = grad_nodes(grid, pair.psi), pair.V   # J V on all 9 entries of V, as given
     resid = reassemble_form(_star(grid, V, 2) + _contract(J, dpsi), _contract(
         J, V.reshape(V.shape[:-2] + (9,))).reshape(V.shape) - _star(grid, dpsi, 1))
@@ -226,18 +242,13 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
 
     with Bvec the metric proxy of the 2-form B and all gradients central.
     """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    I = np.atleast_2d(np.asarray(I, dtype=float))
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Phi = np.asarray(Phi, dtype=float)
-    Upsilon = np.asarray(Upsilon, dtype=float)
+    R, I = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (R, I))
+    E, B, Phi, Upsilon = (np.asarray(a, dtype=float) for a in (E, B, Phi, Upsilon))
+    _check_nodes(grid, (E, B, Phi, Upsilon), (R, I))
     if Phi.ndim == 3:
-        Phi = Phi[..., None]
-        Upsilon = Upsilon[..., None]
+        Phi, Upsilon = Phi[..., None], Upsilon[..., None]
     if E.ndim == 4:
-        E = E[..., None, :]
-        B = B[..., None, :, :]
+        E, B = E[..., None, :], B[..., None, :, :]
 
     Evec = sharp(grid, E)
     Bvec = sharp(grid, _star(grid, B, 2))

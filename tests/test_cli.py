@@ -197,6 +197,24 @@ def test_bogomolny_residual_refuses_bad_metric(fault, where, tmp_path, capsys):
     assert captured.err == f"error: {report['error']}\n"
 
 
+
+def test_bogomolny_residual_refuses_fields_off_the_grid(tmp_path, capsys):
+    # the parent printed "status": "ok" and exited 1 for 6^3 fields on a 5^3 header
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6, 6, 2, 3, 3))
+    fields = {name: {"data": x.tolist(), "shape": list(x.shape)} for name, x in (
+        ("psi", rng.standard_normal((6, 6, 6, 2))), ("V", A - np.swapaxes(A, -1, -2)))}
+    header = {"shape": [5, 5, 5], "spacing": [0.1] * 3, "origin": [1.0] * 3,
+              "J": [[0.0, 1.0], [-1.0, 0.0]], "fields": fields}
+    code = cli.main(["bogomolny", "residual", "--in", write(tmp_path, "h.json", header)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = strict_loads(captured.out)
+    assert report["status"] == "invalid_input"
+    assert report["error"] == "fields must share the grid sample set"
+    assert captured.err == f"error: {report['error']}\n"
+    assert "Traceback" not in captured.err
+
 def test_dyon_build(capsys):
     code, report = run(capsys, ["dyon", "build", "--type", "1", "--v", "0,1",
                                 "--vprime", "0,0", "--J", "std"])

@@ -417,8 +417,91 @@ def test_component_contraction_is_einsum_bit_for_bit(two_n, width, per_node):
         J = rng.standard_normal((shape if per_node else ()) + (two_n, two_n))
         assert np.array_equal(reduction3d._contract(J, x),
                               np.einsum("...jk,...ka->...ja", J, x))
+    # a transposed and a sliced x, J as a broadcast view, and one component
+    # (the 1 x 1 R and I that electrodynamics_dyon passes at n = 1); einsum
+    # itself sums a transposed x of 2n = 4 in another order, so the oracle
+    # reads C-contiguous copies: the contraction's order does not follow the layout
+    cases = [(J, np.swapaxes(rng.standard_normal(shape + (width, two_n)), -1, -2)),
+             (J, rng.standard_normal(shape + (two_n, width + 2))[..., 1:-1]),
+             (np.broadcast_to(rng.standard_normal((two_n, two_n)), shape + (two_n, two_n)), x),
+             (rng.standard_normal((shape if per_node else ()) + (1, 1)),
+              rng.standard_normal(shape + (1, width)))]
+    for Jc, xc in cases:
+        kept = xc.copy()
+        got = reduction3d._contract(Jc, xc)
+        assert np.array_equal(got, np.einsum("...jk,...ka->...ja", np.ascontiguousarray(Jc),
+                                             np.ascontiguousarray(xc)))
+        got[...] = np.nan               # the result is new memory, not a view of x
+        assert np.array_equal(xc, kept)
     with pytest.raises(ValueError, match="taming size does not match field rank"):
         reduction3d._contract(np.eye(two_n + 2), x)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_consumers_contract_as_einsum_bit_for_bit(n, monkeypatch):
+    """eq_field, residual_field and every em_static_residual value are what
+    np.einsum's contraction gives, bit for bit, on Euclidean, constant and
+    per-node grids, for a constant and a per-node J (and R, I)."""
+    rng = np.random.default_rng(19 + n)
+    shape = (5, 6, 4)
+    P = taming.random_period_matrix(n, rng)        # R and I not diagonal at n = 2
+    J = taming.theta_forward(P)
+    A = rng.standard_normal(shape + (2 * n, 3, 3))
+    pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (2 * n,)),
+                                     A - np.swapaxes(A, -1, -2))
+    comp = (n,) if n > 1 else ()                  # at n = 1 the fields carry no component axis
+    E, B = rng.standard_normal(shape + comp + (3,)), pair.V[..., :n, :, :].reshape(
+        shape + comp + (3, 3))
+    Phi, Ups = rng.standard_normal(shape + comp), rng.standard_normal(shape + comp)
+    tamings = [(J, P.R, P.I)] + [tuple(t + 0.1 * rng.standard_normal(shape + t.shape)
+                                       for t in (J, P.R, P.I))]
+    h = metric_field(rng, shape)
+
+    def fields():
+        out = []
+        for metric in (np.eye(3), h[1, 2, 3], h):
+            grid = reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.15), metric=metric)
+            for Jn, R, I in tamings:
+                out += [reduction3d.bogomolny_residual(grid, Jn, pair)["eq_field"],
+                        reduction3d.lift_to_4d(pair, grid, Jn)["residual_field"],
+                        *reduction3d.em_static_residual(grid, R, I, E, B, Phi, Ups).values()]
+        return out
+
+    got = fields()
+    monkeypatch.setattr(reduction3d, "_contract",
+                        lambda J, x: np.einsum("...jk,...ka->...ja", J, x))
+    expect = fields()
+    assert len(got) == len(expect) == 36
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+
+
+def test_grid_consumers_refuse_fields_off_the_grid():
+    """Fields, or a per-node J, R or I, whose node axes are not grid.shape are
+    refused before any work (a 7x6x5 pair on a 5^3 grid gave eq_residual 20.9)."""
+    rng = np.random.default_rng(21)
+    shape, off = (5, 5, 5), (7, 6, 5)
+    A = rng.standard_normal(off + (2, 3, 3))
+    bad = reduction3d.BogomolnyPair(rng.standard_normal(off + (2,)), A - np.swapaxes(A, -1, -2))
+    good = reduction3d.BogomolnyPair(np.zeros(shape + (2,)), np.zeros(shape + (2, 3, 3)))
+    J_off = np.broadcast_to(STD_J, off + (2, 2))
+    z, z3, z33 = np.zeros(shape), np.zeros(shape + (3,)), np.zeros(shape + (3, 3))
+    for metric in (np.diag([1.0, 2.0, 3.0]), metric_field(rng, shape)):
+        grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric)
+        calls = [lambda: reduction3d.bogomolny_residual(grid, STD_J, bad),
+                 lambda: reduction3d.lift_to_4d(bad, grid, STD_J),
+                 lambda: reduction3d.bogomolny_residual(grid, J_off, good),
+                 lambda: reduction3d.lift_to_4d(good, grid, J_off),
+                 lambda: reduction3d.em_static_residual(grid, [[0.0]], [[1.0]],
+                                                        np.zeros(off + (3,)), z33, z, z),
+                 lambda: reduction3d.em_static_residual(grid, [[0.0]], [[1.0]],
+                                                        z3, z33, z, np.zeros(off)),
+                 lambda: reduction3d.em_static_residual(grid, np.zeros(off + (1, 1)), [[1.0]],
+                                                        z3, z33, z, z)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^fields must share the grid sample set$"):
+                call()
+        assert reduction3d.em_static_residual(grid, [[0.0]], [[1.0]], z3, z33, z, z)
 
 
 def test_grid_factor_is_frozen():
