@@ -7,6 +7,7 @@ floating point enters, so equality checks are meaningful.  det is fraction-free
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def identity(m):
@@ -25,13 +26,13 @@ def matmul(A, B):
     if len(A[0]) != len(B):
         raise ValueError("matmul shape mismatch")
     Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def matvec(A, v):
     if len(A[0]) != len(v):
         raise ValueError("matvec shape mismatch")
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def sub(A, B):
@@ -48,28 +49,17 @@ def is_square(A):
     return all(len(row) == len(A) for row in A)
 
 
-def is_integral(A):
-    for row in A:
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    return False
-            elif not isinstance(x, int):
-                return False
-    return True
-
-
 def to_int(A):
-    """Convert an integral Fraction matrix to plain ints."""
+    """A as rows of plain ints, or None unless every entry is an int (a bool too) or an
+    integral Fraction."""
     out = []
     for row in A:
-        new = []
-        for x in row:
-            f = x if type(x) is int else Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("matrix is not integral")
-            new.append(int(f))
-        out.append(new)
+        if not all(type(x) is int for x in row):
+            row = [int(x) if isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
+                   else None for x in row]
+            if None in row:
+                return None
+        out.append(list(row))
     return out
 
 
@@ -77,15 +67,24 @@ def to_fraction(A):
     return [[Fraction(x) for x in row] for row in A]
 
 
+def clear_denominators(A):
+    """(L A, L) in ints for the least common denominator L of A's entries, which are
+    ints or anything Fraction takes."""
+    if (M := to_int(A)) is not None:
+        return M, 1
+    A = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in A]
+    L = lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (L // x.denominator) for x in row] for row in A], L
+
+
 def det(A):
     """Exact determinant (a Fraction) by Bareiss fraction-free elimination.
 
-    Entries are ints or Fractions; the matrix is scaled to integers by the
-    common denominator L, so every division is exact and det A = det(L A) / L^n.
+    The matrix is scaled to integers by the common denominator L of its entries,
+    so every division is exact and det A = det(L A) / L^n.
     """
     n = len(A)
-    L = lcm(*(x.denominator for row in A for x in row))
-    M = [[x.numerator * (L // x.denominator) for x in row] for row in A]
+    M, L = clear_denominators(A)
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if M[r][k] != 0), None)

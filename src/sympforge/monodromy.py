@@ -6,7 +6,7 @@ within its entry bound.
 """
 
 from dataclasses import dataclass
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 from . import exactmat as xm
 from . import siegel
@@ -47,7 +47,7 @@ class Representation:
         return Representation(tuple(siegel.SiegelElement.make(m, t) for m in matrices), t)
 
     def evaluate(self, word):
-        acc = siegel.SiegelElement.make(xm.identity(len(self.images[0].matrix)), self.type_ctx)
+        acc = siegel.SiegelElement(siegel._eye(len(self.images[0].matrix)), self.type_ctx)
         for idx in word:
             g = self.images[abs(idx) - 1]
             acc = acc @ (g if idx > 0 else g.inverse())
@@ -83,31 +83,29 @@ def verify_dirac_system(images, lattice_basis):
     L, and adding its columns to those of D L keeps their covolume, the product
     of the echelon form's leading entries (det T = 1 makes the lattices equal).
     """
-    L = xm.to_fraction(lattice_basis)
-    m = len(L)
-    if m % 2 or not xm.is_square(L):
+    DL, D = xm.clear_denominators(lattice_basis)
+    m = len(DL)
+    if m % 2 or not xm.is_square(DL):
         raise ValueError("lattice basis must be square of even dimension")
-    D = lcm(*(x.denominator for row in L for x in row))
-    DL = [[x.numerator * (D // x.denominator) for x in row] for row in L]
     if len(E := xm.echelon(xm.transpose(DL))) < m:
         raise ValueError("lattice basis is singular")
     covolume = lambda rows: prod(r[i] for i, r in enumerate(rows))   # of m echelon rows
-    n = m // 2
-    W = xm.to_fraction(sl.standard_gram(sl.delta(n)))
+    delta = sl.delta(m // 2)
+    W, omega = sl.standard_gram(delta), siegel._omega_entries(delta)
     for T in images:
-        T = xm.to_fraction(T)
-        if len(T) != m or not xm.is_square(T):
+        dT, d = xm.clear_denominators(T)   # T = dT / d: symplectic iff pairing(dT, dT) = d^2 Omega
+        if len(dT) != m or not xm.is_square(dT):
             raise ValueError(f"images must be {m}x{m}, like the lattice basis")
-        if not siegel.preserves_form(T, sl.delta(n)):
+        if siegel.pairing(dT, dT, delta) != [d * d * w for w in omega]:
             raise ValueError("image is not symplectic for the standard form")
-        DTL = xm.matmul(T, DL)
-        if not xm.is_integral(DTL) or \
-                covolume(xm.echelon(E + xm.transpose(xm.to_int(DTL)))) != covolume(E):
+        DTL = xm.matmul(dT, DL)   # d D T L: D T L is integral iff d divides it
+        if any(x % d for row in DTL for x in row) or covolume(xm.echelon(
+                E + [[x // d for x in col] for col in zip(*DTL)])) != covolume(E):
             return False, None
-    G = xm.matmul(xm.transpose(L), xm.matmul(W, L))
-    if not xm.is_integral(G):
+    G = xm.matmul(xm.transpose(DL), xm.matmul(W, DL))   # D^2 L^T W L
+    if any(x % (D * D) for row in G for x in row):
         return False, None
-    return True, sl.space_type(xm.to_int(G))
+    return True, sl.space_type([[x // (D * D) for x in row] for row in G])
 
 
 def _last_coefficient(q, l, k, P, r, bound):

@@ -3,8 +3,9 @@ symplectic torus automorphism group.
 
 Group elements are exact integer matrices preserving the block Gram matrix of a
 given type, checked once, in SiegelElement.make (products and inverses stay
-members); the affine group pairs such a rotation with a torus translation stored
-as exact rationals mod 1, so the group axioms are tested with equality.
+members); the affine group pairs such a rotation with a torus translation held as
+integer numerators over one least common denominator, so the group law runs on ints
+and is tested with equality; ``translation`` gives the Fractions in [0, 1).
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,15 @@ def is_member(S, t):
 
     True iff S is an integer matrix with S^T Omega_t S = Omega_t exactly.
     """
-    t = sl.validate_type(t)
+    return _member_rows(S, sl.validate_type(t)) is not None
+
+
+def _member_rows(S, t):
+    """S as rows of ints if it is a member of type t (already validated), else None."""
     if not xm.is_square(S) or len(S) != 2 * len(t):
         raise ValueError(f"expected a {2*len(t)}x{2*len(t)} matrix")
-    return xm.is_integral(S) and preserves_form(xm.to_int(S), t)
+    rows = xm.to_int(S)
+    return rows if rows is not None and preserves_form(rows, t) else None
 
 
 def pairing(X, Y, t):
@@ -35,6 +41,11 @@ def pairing(X, Y, t):
     ys = xs if Y is X else [(c[:n], c[n:]) for c in zip(*Y)]
     return [sum(tk * (a * d - c * b) for tk, a, c, b, d in zip(t, *xs[i], *ys[j]))
             for i in range(2 * n) for j in range(i + 1, 2 * n)]
+
+
+@cache
+def _eye(m):  # the identity as rows of a SiegelElement
+    return tuple(map(tuple, xm.identity(m)))
 
 
 @cache
@@ -63,9 +74,9 @@ class SiegelElement:
     @staticmethod
     def make(matrix, type_ctx):
         t = sl.validate_type(type_ctx)
-        if not is_member(matrix, t):
+        if (rows := _member_rows(matrix, t)) is None:
             raise ValueError("matrix does not preserve the type-t Gram matrix")
-        return SiegelElement(tuple(tuple(int(x) for x in row) for row in matrix), t)
+        return SiegelElement(tuple(map(tuple, rows)), t)
 
     def rows(self):
         return [list(r) for r in self.matrix]
@@ -87,7 +98,7 @@ class SiegelElement:
         return SiegelElement(tuple(map(tuple, product)), self.type_ctx)
 
     def is_identity(self):
-        return xm.mat_equal(self.rows(), xm.identity(len(self.matrix)))
+        return self.matrix == _eye(len(self.matrix))
 
 
 def element_min_type(T):
@@ -146,44 +157,55 @@ def transport(S, t, t2):
 # ---------------------------------------------------------------------------
 # the affine group: torus translations semidirect rotations
 
-def _mod1(x):
-    return Fraction(x) % 1
-
-
 @dataclass(frozen=True)
 class AffElement:
-    translation: tuple  # Fractions in [0, 1)
+    nums: tuple  # ints in [0, den): the translation is nums / den
+    den: int     # the least common denominator of the translation
     rotation: SiegelElement
 
     @staticmethod
     def make(translation, rotation):
-        a = tuple(_mod1(x) for x in translation)
+        a = [Fraction(x) for x in translation]
         if len(a) != len(rotation.matrix):
             raise ValueError("translation length does not match rotation size")
-        return AffElement(a, rotation)
+        den = lcm(*(x.denominator for x in a))
+        return _aff([x.numerator * (den // x.denominator) for x in a], den, rotation)
 
     @staticmethod
     def identity_element(t):
         rot = SiegelElement.make(xm.identity(2 * len(t)), t)   # make validates t
-        return AffElement((Fraction(0),) * len(rot.matrix), rot)
+        return AffElement((0,) * len(rot.matrix), 1, rot)
+
+    @property
+    def translation(self):
+        """The torus translation as Fractions in [0, 1)."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def is_identity(self):
-        return all(x == 0 for x in self.translation) and self.rotation.is_identity()
+        return not any(self.nums) and self.rotation.is_identity()
+
+
+def _aff(nums, den, rotation):
+    """The element with translation nums / den mod 1, reduced to canonical form."""
+    nums = [x % den for x in nums]
+    g = gcd(den, *nums)
+    return AffElement(tuple(x // g for x in nums), den // g, rotation)
 
 
 def aff_compose(g1, g2):
-    """(a1, r1)(a2, r2) = (a1 + r1 a2 mod 1, r1 r2)."""
+    """(a1, r1)(a2, r2) = (a1 + r1 a2 mod 1, r1 r2), over the lcm of both denominators."""
     if g1.rotation.type_ctx != g2.rotation.type_ctx:
         raise ValueError("elements live in groups of different type")
-    moved = xm.matvec(g1.rotation.matrix, g2.translation)
-    a = tuple(_mod1(x + y) for x, y in zip(g1.translation, moved))
-    return AffElement(a, g1.rotation @ g2.rotation)
+    den = lcm(g1.den, g2.den)
+    c1, c2 = den // g1.den, den // g2.den
+    a = [c1 * x + c2 * y for x, y in zip(g1.nums, xm.matvec(g1.rotation.matrix, g2.nums))]
+    return _aff(a, den, g1.rotation @ g2.rotation)
 
 
 def aff_inverse(g):
+    """(a, r)^-1 = (-r^-1 a mod 1, r^-1)."""
     rot_inv = g.rotation.inverse()
-    moved = xm.matvec(rot_inv.matrix, g.translation)
-    return AffElement(tuple(_mod1(-x) for x in moved), rot_inv)
+    return _aff([-x for x in xm.matvec(rot_inv.matrix, g.nums)], g.den, rot_inv)
 
 
 def aff_adjoint(g):

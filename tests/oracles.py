@@ -1,5 +1,6 @@
 """Brute-force oracles that the library's closed forms and lattice methods
-replaced: Gauss-Jordan inversion over the rationals, Smith invariants by
+replaced: Gauss-Jordan inversion over the rationals, the affine group law with
+Fraction translations instead of integer numerators, Smith invariants by
 plain gcd elimination (the normal form's type, computed without its code),
 the conjugator search over the whole entry box, the enumeration of the
 intertwiner lattice that tries every value of the last coefficient, the
@@ -38,6 +39,17 @@ def inverse(A):
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
                 Inv[r] = [x - f * y for x, y in zip(Inv[r], Inv[col])]
     return Inv
+
+
+def aff_compose_fractions(a1, r1, a2, r2):
+    """(a1 + r1 a2 mod 1, r1 r2) for translations a of Fractions and rotation rows r."""
+    return tuple((x + y) % 1 for x, y in zip(a1, xm.matvec(r1, a2))), xm.matmul(r1, r2)
+
+
+def aff_inverse_fractions(a, r):
+    """(-r^-1 a mod 1, r^-1) with r^-1 by Gauss-Jordan."""
+    r_inv = inverse(r)
+    return tuple(-x % 1 for x in xm.matvec(r_inv, a)), xm.to_int(r_inv)
 
 
 def smith_invariants(M):

@@ -44,9 +44,9 @@ def det_oracle(A):
 
 def member_oracle(S, t):
     """S^T Omega_t S == Omega_t as two full matrix products."""
-    if not xm.is_integral(S):
+    if (S := xm.to_int(S)) is None:
         return False
-    S, G = xm.to_int(S), sl.standard_gram(t)
+    G = sl.standard_gram(t)
     return xm.mat_equal(xm.matmul(xm.transpose(S), xm.matmul(G, S)), G)
 
 
@@ -62,7 +62,7 @@ def transport_oracle(S, t, t2):
     g1, g2 = gamma(t), gamma(t2)
     M = xm.matmul(inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
                                                        xm.matmul(inverse(g1), g2))))
-    return xm.to_int(M) if xm.is_integral(M) else None
+    return xm.to_int(M)
 
 
 def divisor_chains(n, cap):
@@ -282,10 +282,10 @@ def dirac_oracle(images, L):
     Linv = inverse(L)
     for T in images:
         C = xm.matmul(Linv, xm.matmul(xm.to_fraction(T), L))
-        if not (xm.is_integral(C) and xm.is_integral(inverse(C))):
+        if not (xm.to_int(C) is not None and xm.to_int(inverse(C)) is not None):
             return False, None
     G = xm.matmul(xm.transpose(L), xm.matmul(sl.standard_gram(sl.delta(len(L) // 2)), L))
-    return (True, sl.space_type(xm.to_int(G))) if xm.is_integral(G) else (False, None)
+    return (True, sl.space_type(xm.to_int(G))) if xm.to_int(G) is not None else (False, None)
 
 
 def unimodular(rng, m):

@@ -95,8 +95,17 @@ def test_dirac_planted_type_in_dimension_four():
     assert abs(xm.det(V)) == 1
     for basis in (gamma_t, xm.matmul(gamma_t, V)):
         assert monodromy.verify_dirac_system(images, basis) == (True, t)
-    assert not all(xm.is_integral(T) for T in images)
+    assert not all(xm.to_int(T) is not None for T in images)
     assert monodromy.verify_dirac_system(images, xm.identity(4)) == (False, None)
+
+
+@pytest.mark.parametrize("image, basis", [
+    ([[1, Fraction(1, 2)], [Fraction(1, 3), 1]], [[1, 0], [0, 2]]),
+    ([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], xm.identity(4)),
+], ids=["2x2", "4x4"])
+def test_dirac_rejects_rational_non_symplectic_image(image, basis):
+    with pytest.raises(ValueError, match="image is not symplectic for the standard form"):
+        monodromy.verify_dirac_system([xm.identity(len(basis)), image], basis)
 
 
 def test_dirac_rejects_degenerate_lattice():

@@ -5,6 +5,7 @@ import pytest
 
 from sympforge import exactmat as xm
 from sympforge import siegel
+from oracles import aff_compose_fractions, aff_inverse_fractions
 
 
 def test_identity_is_member_any_type():
@@ -23,6 +24,32 @@ def test_scaling_not_member_at_type_two():
 def test_is_member_dimension_mismatch():
     with pytest.raises(ValueError, match="expected a 4x4 matrix"):
         siegel.is_member(xm.identity(2), (1, 2))
+
+
+@pytest.mark.parametrize("entry", [Fraction(2, 2), True], ids=["fraction", "bool"])
+def test_membership_accepts_integral_fractions_and_bools(entry):
+    M = [[entry, 0], [0, 1]]
+    assert siegel.is_member(M, (1,)) is True
+    g = siegel.SiegelElement.make(M, (1,))
+    assert g.matrix == ((1, 0), (0, 1))
+    assert all(type(x) is int for row in g.matrix for x in row)
+
+
+@pytest.mark.parametrize("entry", [1.0, Fraction(1, 2), "1"], ids=["float", "half", "str"])
+def test_membership_refuses_non_integer_entries(entry):
+    M = [[entry, 0], [0, 1]]
+    assert siegel.is_member(M, (1,)) is False
+    with pytest.raises(ValueError, match="matrix does not preserve the type-t Gram matrix"):
+        siegel.SiegelElement.make(M, (1,))
+
+
+@pytest.mark.parametrize("M", [[[1.0, 0]], [["1", 0, 0], [0, Fraction(1, 2), 0]]],
+                         ids=["1x2", "2x3"])
+def test_membership_checks_the_shape_first(M):
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        siegel.is_member(M, (1,))
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        siegel.SiegelElement.make(M, (1,))
 
 
 def test_min_type_integer_symplectic_is_principal():
@@ -63,6 +90,35 @@ def test_aff_compose_semidirect_twist():
     out = siegel.aff_compose(g1, g2)
     assert out.translation == (Fraction(0), Fraction(1, 4))
     assert out.rotation == gamma
+
+
+def test_aff_translation_is_canonical():
+    rot = siegel.SiegelElement.make(xm.identity(2), (1,))
+    a = siegel.AffElement.make([Fraction(1, 2), Fraction(2, 4)], rot)
+    b = siegel.AffElement.make([Fraction(3, 2), Fraction(-1, 2)], rot)
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == ((1, 1), 2)
+    assert siegel.aff_compose(a, b) == siegel.AffElement.identity_element((1,))
+
+
+def test_aff_group_law_matches_fraction_oracle():
+    rng = random.Random(31)
+
+    def shift(m):   # negative, integral and out-of-range entries
+        return [rng.choice([Fraction(rng.randint(-40, 40), rng.choice([2, 3, 4, 6, 9, 12])),
+                            rng.randint(-3, 3), Fraction(rng.randint(-9, 9), 3)])
+                for _ in range(m)]
+    for t in [(1,), (1, 2), (2, 4), (1, 2, 4)]:
+        for _ in range(25):
+            (a1, r1), (a2, r2) = [(shift(2 * len(t)), siegel.random_member(t, rng, word_length=4))
+                                  for _ in range(2)]
+            h = siegel.aff_compose(siegel.AffElement.make(a1, r1), siegel.AffElement.make(a2, r2))
+            assert (h.translation, h.rotation.rows()) == \
+                aff_compose_fractions(a1, r1.rows(), a2, r2.rows())
+            inv = siegel.aff_inverse(h)
+            assert (inv.translation, inv.rotation.rows()) == \
+                aff_inverse_fractions(h.translation, h.rotation.rows())
+            assert all(type(x) is Fraction and 0 <= x < 1 for x in h.translation + inv.translation)
 
 
 def test_aff_inverse_examples():
