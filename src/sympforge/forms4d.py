@@ -177,10 +177,10 @@ def duality_act(gamma, V):
     """Linear duality action on the component index of a two-form."""
     V = as_two_form(V)
     gamma = np.asarray(gamma, dtype=float)
+    if not taming.is_symplectic(gamma):   # refuses a gamma that is not square of even size
+        raise ValueError("duality transformations must be symplectic")
     if gamma.shape[0] != V.shape[0]:
         raise ValueError("gamma size does not match form rank")
-    if not taming.is_symplectic(gamma):
-        raise ValueError("duality transformations must be symplectic")
     return np.einsum("jk,kab->jab", gamma, V)
 
 

@@ -111,6 +111,8 @@ def theta_inverse(J):
 
 def is_symplectic(g):
     g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or not g.size:
+        raise ValueError("g must be square of even dimension >= 2")
     W = np.asarray(sl.standard_gram(sl.delta(g.shape[0] // 2)), dtype=float)
     return np.max(np.abs(g.T @ W @ g - W)) < ALG_TOL
 
@@ -157,11 +159,9 @@ def random_period_matrix(n, rng):
 
 
 def random_symplectic(n, rng):
-    """Random element of Sp(2n, R) near the identity (exp of a Lie algebra
-    element), kept well-conditioned for tolerance-based tests."""
-    from scipy.linalg import expm
-
+    """Well-conditioned random element of Sp(2n, R) near the identity, for tolerance-based
+    tests: the Cayley transform (I - H)^-1 (I + H) of H = W S / 2, S symmetric."""
     W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
     S = rng.standard_normal((2 * n, 2 * n))
-    S = 0.5 * (S + S.T) * 0.4
-    return expm(W @ S)
+    H = 0.5 * W @ (0.5 * (S + S.T) * 0.4)
+    return np.linalg.solve(np.eye(2 * n) - H, np.eye(2 * n) + H)

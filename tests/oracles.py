@@ -5,9 +5,10 @@ plain gcd elimination (the normal form's type, computed without its code),
 the conjugator search over the whole entry box, the enumeration of the
 intertwiner lattice that tries every value of the last coefficient, the
 grid residuals that invert the metric (or the whole 4d metric -dt^2 + h) by
-LAPACK at every node instead of reading the factor Grid3 computes once, and
-the dyon flux by quadrature of the whole curvature instead of c times the
-integral of the solid-angle form."""
+LAPACK at every node instead of reading the factor Grid3 computes once, the
+dyon flux by quadrature of the whole curvature instead of c times the integral
+of the solid-angle form, and the radial Higgs profile by scipy's adaptive quad
+instead of fixed Gauss-Legendre panels in ln r."""
 
 from fractions import Fraction
 from itertools import product
@@ -228,3 +229,15 @@ def flux_by_quadrature(sol):
     V = sol.curvature_coeff()[:, None, None] * dyons.solid_angle_form(pts)[..., None, :, :]
     integrand = np.einsum("...jab,...a,...b->...j", V, t_phi, du)
     return np.einsum("uvj,u->j", integrand, wu) * (2 * np.pi / 64)
+
+
+def psi_by_quad(sol, r):
+    """dyons.DyonSolution.psi for a callable J by scipy's adaptive quad, one call per
+    radius and component: psi(r) = v' - int_1^r J(s) v / (2 s^2) ds."""
+    from scipy.integrate import quad
+
+    r = np.asarray(r, dtype=float)
+    out = np.array([[quad(lambda s, i=i: (sol.J(s) @ sol.v)[i] / (2 * s**2),
+                          1.0, x, epsrel=1e-10, epsabs=1e-13)[0]
+                     for i in range(len(sol.v))] for x in r.ravel()])
+    return (sol.v_prime - out).reshape(r.shape + (len(sol.v),))

@@ -522,6 +522,26 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_selftest_taming_loads_no_scipy():
+    """The suite that draws random symplectic matrices runs them on numpy alone."""
+    proc = run_python("-c", "import contextlib, io, sys; from sympforge import cli\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            "    code = cli.main(['selftest', 'taming', '--seed', '7'])\n"
+                            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def test_no_library_module_imports_scipy():
+    imported = []
+    for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imported += [f"{path.name}:{node.lineno}" for m in names if m.split(".")[0] == "scipy"]
+    assert imported == []
+
+
 IN_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 from sympforge import cli

@@ -7,7 +7,7 @@ import pytest
 
 import sympforge
 from sympforge import dyons, reduction3d, taming
-from oracles import flux_by_quadrature
+from oracles import flux_by_quadrature, psi_by_quad
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -109,6 +109,46 @@ def test_radial_taming_profile_matches_closed_form_integral():
     for r in [0.5, 2.0, 7.0]:
         want = vprime - np.array([v[1] * (1 - 1 / r**2) / 4, -v[0] * np.log(r) / 2])
         assert np.allclose(sol.psi(r), want, rtol=0, atol=1e-9)
+
+
+def test_radial_taming_profile_matches_the_quad_oracle():
+    """Fixed Gauss-Legendre panels in ln r against scipy's adaptive quad, for the test
+    families: a constant callable, N(r) = i r and N(r) = R + i r I, 2n = 2, 4, 6."""
+    rng = np.random.default_rng(37)
+    for k in range(18):
+        n = k % 3 + 1
+        N = taming.random_period_matrix(n, rng)
+        J0 = taming.theta_forward(N)
+        J = ((lambda s: J0),
+             (lambda s: taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), s * np.eye(n)))),
+             (lambda s: taming.theta_forward(taming.PeriodMatrix(N.R, s * N.I))))[k // 3 % 3]
+        sol = dyons.dyon_construct(J, rng.integers(-3, 4, 2 * n), rng.standard_normal(2 * n))
+        r = np.concatenate([[0.05, 1.0, 50.0], np.exp(rng.uniform(np.log(0.05), np.log(50), 6))])
+        assert np.max(np.abs(sol.psi(r) - psi_by_quad(sol, r))) <= 1e-10
+        assert np.array_equal(sol.psi(1.0), sol.v_prime)
+
+
+def test_radial_taming_is_evaluated_once_per_quadrature_node():
+    """16 nodes for each radius's partial panel and for each whole panel between
+    t = 0 and the farthest ln r on either side; a 17^3 grid takes one pass."""
+    J0 = taming.theta_forward(taming.random_period_matrix(1, np.random.default_rng(3)))
+    calls = []
+    sol = dyons.dyon_construct(lambda s: calls.append(s) or J0, [2.0, -1.0], [0.1, 0.2])
+    calls.clear()
+    grid = reduction3d.Grid3(shape=(17,) * 3, spacing=(0.1,) * 3, origin=(0.3,) * 3)
+    pair = sol.sample_pair(grid)
+    r = np.linalg.norm(grid.points(), axis=-1)
+    whole = np.abs(np.trunc(2 * np.log(r))).max()
+    assert len(calls) == 16 * (r.size + 2 * whole)
+    assert np.allclose(pair.psi, [0.1, 0.2] + (J0 @ [2.0, -1.0]) * (1 / r[..., None] - 1) / 2,
+                       rtol=0, atol=1e-12)
+
+
+def test_radial_taming_profile_refuses_non_finite_radii():
+    sol = dyons.dyon_construct(lambda s: STD_J, [0, 1], [0, 0])
+    for r in (np.inf, np.nan, [1.0, np.inf]):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            sol.psi(r)
 
 
 def test_flux_unit_magnetic_charge():

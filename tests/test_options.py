@@ -16,7 +16,6 @@ OPTIONS = {
     "cli.build_parser.add.infile",
     "cli.build_parser.add.required",
     "cli.main.argv",
-    "dyons.DyonSolution.psi.<lambda>.i",
     "dyons.dyon_construct.type_ctx",
     "dyons.default_far_grid.nodes",
     "dyons.electrodynamics_dyon.grid",

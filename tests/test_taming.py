@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sympforge
-from sympforge import taming
+from sympforge import forms4d, taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -111,6 +111,31 @@ def test_conjugate_is_group_action():
 def test_conjugate_rejects_non_symplectic():
     with pytest.raises(ValueError, match="conjugator is not symplectic"):
         taming.taming_conjugate(STD_J, 2 * np.eye(2))
+
+
+@pytest.mark.parametrize("g", [np.float64(1.0), np.eye(3), np.eye(1), np.zeros((0, 0)),
+                               np.zeros((2, 4)), np.zeros((2, 2, 2))],
+                         ids=["0-d", "3x3", "1x1", "0x0", "2x4", "3-d"])
+def test_symplectic_check_refuses_shapes_that_are_not_square_of_even_size(g):
+    """One ValueError before any arithmetic, for the check and for its two callers."""
+    with pytest.raises(ValueError, match="g must be square of even dimension >= 2"):
+        taming.is_symplectic(g)
+    with pytest.raises(ValueError, match="g must be square of even dimension >= 2"):
+        taming.taming_conjugate(STD_J, g)
+    with pytest.raises(ValueError, match="g must be square of even dimension >= 2"):
+        forms4d.duality_act(g, np.zeros((2, 4, 4)))
+
+
+def test_random_symplectic_is_symplectic_and_advances_the_stream_as_before():
+    """The Cayley draw reads one standard normal (2n, 2n) block, as expm's did."""
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    for n in (1, 2, 3, 4):
+        g = taming.random_symplectic(n, rng)
+        twin.standard_normal((2 * n, 2 * n))
+        W = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+        assert np.max(np.abs(g.T @ W @ g - W)) < 1e-14
+        assert taming.is_symplectic(g)
+    assert rng.standard_normal() == twin.standard_normal()
 
 
 def test_theta_inverse_rejects_non_taming():
