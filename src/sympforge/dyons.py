@@ -76,12 +76,13 @@ class DyonSolution:
         lo, hi = np.concatenate([j, -j, k / 2]), np.concatenate([j + 0.5, -j - 0.5, t])
         x, w = np.polynomial.legendre.leggauss(16)
         s = np.exp((hi + lo) / 2 + (hi - lo) / 2 * x[:, None])          # (node, panel)
-        Jv = (np.array([self.J(si) for si in s.ravel().tolist()]) @ self.v).reshape(s.shape + (-1,))
+        m = len(self.v)                        # no radii: no J values, shape (16, 0, m, m)
+        Jv = np.reshape([self.J(si) for si in s.ravel().tolist()], s.shape + (m, m)) @ self.v
         panels = (hi - lo)[:, None] / 2 * (w[:, None, None] * Jv / (2 * s[..., None])).sum(0)
-        sums = np.cumsum(np.concatenate([np.zeros((2, 1, len(self.v))),   # in order, outwards
+        sums = np.cumsum(np.concatenate([np.zeros((2, 1, m)),   # in order, outwards
                                          np.split(panels[:2 * len(j)], 2)], 1), 1)
         out = sums[(k < 0) * 1, np.abs(k)] + panels[2 * len(j):]        # plus the partial panel
-        return (self.v_prime - out).reshape(r.shape + (-1,))
+        return (self.v_prime - out).reshape(r.shape + (m,))
 
     def curvature_coeff(self):
         """Constant vector c with V = c * (solid-angle form)."""

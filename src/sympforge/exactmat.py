@@ -1,8 +1,9 @@
-"""Small exact-arithmetic matrix kit (Python ints and fractions.Fraction).
+"""Small exact-arithmetic matrix kit on Python ints.
 
 Matrices are plain lists of row lists.  Everything here is exact: no
-floating point enters, so equality checks are meaningful.  det is fraction-free
-(Bareiss) and echelon uses unimodular integer row operations only.
+floating point enters, so equality checks are meaningful.  clear_denominators is
+where a rational matrix becomes ints, M / L over one denominator L; det is
+fraction-free (Bareiss) and echelon uses unimodular integer row operations only.
 """
 
 from fractions import Fraction
@@ -61,10 +62,6 @@ def to_int(A):
                 return None
         out.append(list(row))
     return out
-
-
-def to_fraction(A):
-    return [[Fraction(x) for x in row] for row in A]
 
 
 def clear_denominators(A):

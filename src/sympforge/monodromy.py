@@ -90,18 +90,17 @@ def verify_dirac_system(images, lattice_basis):
     if len(E := xm.echelon(xm.transpose(DL))) < m:
         raise ValueError("lattice basis is singular")
     covolume = lambda rows: prod(r[i] for i, r in enumerate(rows))   # of m echelon rows
-    delta = sl.delta(m // 2)
-    W, omega = sl.standard_gram(delta), siegel._omega_entries(delta)
     for T in images:
-        dT, d = xm.clear_denominators(T)   # T = dT / d: symplectic iff pairing(dT, dT) = d^2 Omega
-        if len(dT) != m or not xm.is_square(dT):
+        if len(T) != m or not xm.is_square(T):
             raise ValueError(f"images must be {m}x{m}, like the lattice basis")
-        if siegel.pairing(dT, dT, delta) != [d * d * w for w in omega]:
+        if (scaled := siegel.symplectic_numerators(T)) is None:   # T = dT / d
             raise ValueError("image is not symplectic for the standard form")
+        dT, d = scaled
         DTL = xm.matmul(dT, DL)   # d D T L: D T L is integral iff d divides it
         if any(x % d for row in DTL for x in row) or covolume(xm.echelon(
                 E + [[x // d for x in col] for col in zip(*DTL)])) != covolume(E):
             return False, None
+    W = sl.standard_gram(sl.delta(m // 2))
     G = xm.matmul(xm.transpose(DL), xm.matmul(W, DL))   # D^2 L^T W L
     if any(x % (D * D) for row in G for x in row):
         return False, None

@@ -30,7 +30,7 @@ def _member_rows(S, t):
     if not xm.is_square(S) or len(S) != 2 * len(t):
         raise ValueError(f"expected a {2*len(t)}x{2*len(t)} matrix")
     rows = xm.to_int(S)
-    return rows if rows is not None and preserves_form(rows, t) else None
+    return rows if rows is not None and pairing(rows, rows, t) == _omega_entries(t) else None
 
 
 def pairing(X, Y, t):
@@ -53,16 +53,18 @@ def _omega_entries(t):  # pairing(I, I, t): the entries i < j of Omega_t, once p
     return pairing(*[xm.identity(2 * len(t))] * 2, t)
 
 
-def preserves_form(S, t):
-    """S^T Omega_t S == Omega_t for exact square S, on the entries i < j of both sides."""
-    return pairing(S, S, t) == _omega_entries(t)
+def symplectic_numerators(T):
+    """(M, L) with T = M / L in ints (exactmat.clear_denominators) if T, square of even
+    size, is symplectic for the principal form, that is pairing(M, M) = L^2 Omega; else None."""
+    M, L = xm.clear_denominators(T)
+    delta = sl.delta(len(M) // 2)
+    return (M, L) if pairing(M, M, delta) == [L * L * w for w in _omega_entries(delta)] else None
 
 
-def _diag_conjugate(S, c):
-    """diag(c)^-1 S diag(c), entry (S_ij c_j) / c_i, for S of ints or Fractions and
-    c of positive ints; None unless every entry is an integer."""
-    out = [[divmod(x.numerator * cj, x.denominator * ci) for x, cj in zip(row, c)]
-           for ci, row in zip(c, S)]
+def _diag_conjugate(S, c, den):
+    """diag(c)^-1 (S / den) diag(c), entry (S_ij c_j) / (c_i den), for S of ints and c of
+    positive ints; None unless every entry is an integer."""
+    out = [[divmod(x * cj, ci * den) for x, cj in zip(row, c)] for ci, row in zip(c, S)]
     return None if any(r for row in out for _, r in row) else [[q for q, _ in row] for row in out]
 
 
@@ -86,7 +88,7 @@ class SiegelElement:
         S, m, n = self.matrix, len(self.matrix), len(self.type_ctx)
         adj = [[S[(j + n) % m][(i + n) % m] * (1 if (i < n) == (j < n) else -1)
                 for j in range(m)] for i in range(m)]
-        inv = _diag_conjugate(adj, self.type_ctx * 2)
+        inv = _diag_conjugate(adj, self.type_ctx * 2, 1)
         if inv is None:
             raise ValueError("matrix does not preserve the type-t Gram matrix")
         return SiegelElement(tuple(map(tuple, inv)), self.type_ctx)
@@ -102,47 +104,43 @@ class SiegelElement:
 
 
 def element_min_type(T):
-    """Minimal type t with Gamma_t^{-1} T Gamma_t integral, for T = [[A, B], [C, D]]
-    exactly symplectic for the principal form.
+    """Minimal type t with Gamma_t^{-1} T Gamma_t integral, for T = [[A, B], [C, D]] = M / L
+    exactly symplectic for the principal form, M and L ints (exactmat.clear_denominators).
 
-    The conjugate is [[A, B D_t], [D_t^-1 C, D_t^-1 D D_t]].  Its B and D blocks
-    and the chain condition give lower bounds that grow with t: den(B_ij) | t_j,
-    t_{j-1} | t_j, and q t_i / gcd(t_i, p) | t_j for D_ij = p/q.  Raised to their
-    least fixed point they give a chain dividing every admissible type; the A
-    and C conditions (A integral, t_i | C_ij) only fail more as t grows, so that
-    chain is the minimum if any type is admissible.  Like the types a search
-    would try, its entries must divide cap = (lcm of entry denominators)^n;
-    without that bound the raising need not stop (D_11 = 1/2 doubles t_1 on
-    each pass).  Returns None when an entry leaves cap or A, C fail.
+    The conjugate is [[A, B D_t], [D_t^-1 C, D_t^-1 D D_t]], with entries M_ij t_j / (L t_i)
+    in its B and D blocks (t_i = 1 in B).  These and the chain condition give lower bounds
+    that grow with t: L t_i / gcd(L t_i, M_ij) | t_j and t_{j-1} | t_j.  Raised to their
+    least fixed point they give a chain dividing every admissible type; the A and C
+    conditions (A integral, t_i | C_ij) only fail more as t grows, so that chain is the
+    minimum if any type is admissible.  Like the types a search would try, its entries
+    must divide cap = L^n; without that bound the raising need not stop (D_11 = 1/2
+    doubles t_1 on each pass).  Returns None when an entry leaves cap or A, C fail.
     """
-    T = xm.to_fraction(T)
     m = len(T)
-    if not xm.is_square(T) or m % 2:
+    if not m or m % 2 or not xm.is_square(T):
         raise ValueError("matrix must be square of even dimension")
-    n = m // 2
-    if not preserves_form(T, sl.delta(n)):
+    if (scaled := symplectic_numerators(T)) is None:
         raise ValueError("matrix is not symplectic for the standard form")
 
-    cap = lcm(*(x.denominator for row in T for x in row)) ** n
-    D = [row[n:] for row in T[n:]]
-    t = [lcm(*(row[n + j].denominator for row in T[:n])) for j in range(n)]
+    (M, L), n = scaled, m // 2
+    cap, D = L ** n, [row[n:] for row in M[n:]]
+    t = [lcm(*(L // gcd(L, row[n + j]) for row in M[:n])) for j in range(n)]
     changed = True
     while changed:
         changed = False
         for j in range(n):
             need = lcm(t[j], t[j - 1] if j else 1,
-                       *(D[i][j].denominator * t[i] // gcd(t[i], D[i][j].numerator)
-                         for i in range(n)))
+                       *(L * t[i] // gcd(L * t[i], D[i][j]) for i in range(n)))
             if need != t[j]:
                 if cap % need:
                     return None
                 t[j], changed = need, True
     t = tuple(t)
-    return None if _diag_conjugate(T, (1,) * n + t) is None else t
+    return None if _diag_conjugate(M, (1,) * n + t, L) is None else t
 
 
 def transport(S, t, t2):
-    """Move a type-t member to the type-t2 picture; None if non-integral.
+    """Move a type-t member, of integer entries, to the type-t2 picture; None if non-integral.
 
     The transport conjugates by Gamma_t then Gamma_{t2}^{-1}, that is by diag(c)
     with c = t_n Gamma_{t2} / Gamma_t; an integral result is a member at t2.
@@ -150,8 +148,10 @@ def transport(S, t, t2):
     t, t2 = sl.validate_type(t), sl.validate_type(t2)
     if len(t) != len(t2) or not xm.is_square(S) or len(S) != 2 * len(t):
         raise ValueError("matrix and types do not have matching sizes")
+    if (rows := xm.to_int(S)) is None:
+        raise ValueError("matrix entries must be integers")
     c = (t[-1],) * len(t) + tuple(t[-1] * b // a for a, b in zip(t, t2))
-    return _diag_conjugate(xm.to_fraction(S), c)
+    return _diag_conjugate(rows, c, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +165,10 @@ class AffElement:
 
     @staticmethod
     def make(translation, rotation):
-        a = [Fraction(x) for x in translation]
-        if len(a) != len(rotation.matrix):
+        [nums], den = xm.clear_denominators([list(translation)])
+        if len(nums) != len(rotation.matrix):
             raise ValueError("translation length does not match rotation size")
-        den = lcm(*(x.denominator for x in a))
-        return _aff([x.numerator * (den // x.denominator) for x in a], den, rotation)
+        return _aff(nums, den, rotation)
 
     @staticmethod
     def identity_element(t):

@@ -19,10 +19,14 @@ from sympforge import exactmat as xm
 from sympforge import dyons, forms4d, monodromy, reduction3d, siegel
 
 
+def to_fraction(A):
+    return [[Fraction(x) for x in row] for row in A]
+
+
 def inverse(A):
     """Exact inverse by Gauss-Jordan over the rationals.  Raises ValueError if singular."""
     n = len(A)
-    M = xm.to_fraction(A)
+    M = to_fraction(A)
     Inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if M[r][col] != 0), None)

@@ -12,7 +12,7 @@ import pytest
 from sympforge import dyons, exactmat as xm, forms4d, monodromy
 from sympforge import reduction3d, siegel, symplattice as sl, taming
 from sympforge.selftest import random_chain, random_gram, random_unimodular
-from oracles import inverse
+from oracles import inverse, to_fraction
 
 
 def test_criterion_01_normal_form_soundness():
@@ -256,4 +256,4 @@ def test_criterion_12_monodromy_verification():
         ginv = inverse(gamma)
         for a, b in zip(rep.images, rep2.images):
             conj = xm.matmul(gamma, xm.matmul(a.rows(), ginv))
-            assert xm.mat_equal(xm.to_fraction(conj), xm.to_fraction(b.rows()))
+            assert xm.mat_equal(to_fraction(conj), to_fraction(b.rows()))

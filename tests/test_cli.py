@@ -355,7 +355,7 @@ def binary_grid_header(tmp_path, psi_file):
 
 
 @pytest.mark.parametrize("case", ["tol_env_not_a_number", "negative_bound", "empty_gram",
-                                  "list_input", "zero_denominator_min_type",
+                                  "list_input", "zero_denominator_min_type", "empty_min_type",
                                   "zero_denominator_aff", "missing_payload",
                                   "payload_outside_header_dir", "absolute_payload",
                                   "period_not_an_object", "float_matrix_entry", "over_budget",
@@ -379,6 +379,8 @@ def test_invalid_input_exits_two_without_traceback(case, tmp_path, capsys, monke
     elif case == "zero_denominator_min_type":
         argv = ["group", "min-type", "--matrix",
                 write(tmp_path, "t.json", [[1, ["1", "0"]], [0, 1]])]
+    elif case == "empty_min_type":
+        argv = ["group", "min-type", "--matrix", write(tmp_path, "t.json", [])]
     elif case == "zero_denominator_aff":
         g = {"a": [["1", "0"], ["0", "1"]], "gamma": [["1", "0"], ["0", "1"]], "type": [1]}
         argv = ["aff", "compose", "--in", write(tmp_path, "aff.json", {"g1": g, "g2": g})]

@@ -222,6 +222,14 @@ def test_psi_and_dpsi_dr_on_arrays_stack_the_per_radius_calls():
             assert np.array_equal(got, each.reshape(got.shape))
 
 
+def test_psi_of_no_radii_has_no_rows_for_either_kind_of_J():
+    J0 = taming.theta_forward(taming.random_period_matrix(2, np.random.default_rng(5)))
+    for J in (J0, lambda s: J0):
+        sol = dyons.dyon_construct(J, [1.0, 0.0, -2.0, 1.0], [0.5, 0.0, 0.0, 0.25])
+        assert sol.psi(np.array([])).shape == (0, 4)
+        assert sol.psi(np.ones((2, 0))).shape == (2, 0, 4)
+
+
 def test_electrodynamics_potentials_are_the_solutions_psi():
     out = dyons.electrodynamics_dyon(0.7, 3.0, 1, -2)
     r = np.linalg.norm(out["grid"].points(), axis=-1)

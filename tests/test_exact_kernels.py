@@ -2,6 +2,8 @@
 lattice-enumeration methods they replaced, which are kept here or in
 oracles.py as oracles."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -9,11 +11,12 @@ from math import isqrt, lcm
 
 import pytest
 
+import sympforge
 from sympforge import exactmat as xm
 from sympforge import monodromy, siegel
 from sympforge import symplattice as sl
 from oracles import (box_conjugacy_test, candidate_index, intertwiner_basis, inverse,
-                     lattice_conjugacy_test)
+                     lattice_conjugacy_test, to_fraction)
 
 MEMBER_TYPES = [(1,), (1, 2), (2, 4), (1, 2, 4)]
 
@@ -24,7 +27,7 @@ MEMBER_TYPES = [(1,), (1, 2), (2, 4), (1, 2, 4)]
 def det_oracle(A):
     """Gaussian elimination over the rationals."""
     n = len(A)
-    M = xm.to_fraction(A)
+    M = to_fraction(A)
     sign = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
@@ -60,7 +63,7 @@ def gamma(t):
 def transport_oracle(S, t, t2):
     """Gamma_{t2}^-1 Gamma_t S Gamma_t^-1 Gamma_{t2} by Fraction matrix products."""
     g1, g2 = gamma(t), gamma(t2)
-    M = xm.matmul(inverse(g2), xm.matmul(g1, xm.matmul(xm.to_fraction(S),
+    M = xm.matmul(inverse(g2), xm.matmul(g1, xm.matmul(to_fraction(S),
                                                        xm.matmul(inverse(g1), g2))))
     return xm.to_int(M)
 
@@ -79,7 +82,7 @@ def admissible_oracle(T, cap):
     """Every chain t dividing cap with Gamma_t^-1 T Gamma_t integral, the
     entry (i, j) of which is T_ij c_j / c_i for c = (1,) * n + t."""
     n = len(T) // 2
-    T = xm.to_fraction(T)
+    T = to_fraction(T)
     return [t for t in divisor_chains(n, cap)
             if all((x * cj / ci).denominator == 1
                    for ci, row in zip((1,) * n + t, T) for cj, x in zip((1,) * n + t, row))]
@@ -103,9 +106,9 @@ def random_rational_symplectic(rng, n):
     rational symmetric matrix or diag(A, A^-T) for a rational invertible A."""
     def rational():
         return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 4, 6]))
-    T = xm.to_fraction(xm.identity(2 * n))
+    T = to_fraction(xm.identity(2 * n))
     for _ in range(rng.randint(1, 3)):
-        G = xm.to_fraction(xm.identity(2 * n))
+        G = to_fraction(xm.identity(2 * n))
         kind = rng.randrange(3)
         if kind < 2:
             rows, cols = (range(n), range(n, 2 * n)) if kind == 0 else (range(n, 2 * n), range(n))
@@ -127,7 +130,7 @@ def planted_min_type_input(rng, t):
     """Gamma_t S Gamma_t^-1 for a random type-t member S: a rational
     symplectic matrix for the principal form."""
     S = siegel.random_member(t, rng, word_length=6).rows()
-    return xm.matmul(gamma(t), xm.matmul(xm.to_fraction(S), inverse(gamma(t))))
+    return xm.matmul(gamma(t), xm.matmul(to_fraction(S), inverse(gamma(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def test_sparse_membership_matches_full_product(t):
         halved = [row[:] for row in S]
         halved[rng.randrange(m)][rng.randrange(m)] += Fraction(1, 2)
         assert siegel.is_member(halved, t) is False and member_oracle(halved, t) is False
-        as_fractions = xm.to_fraction(S)
+        as_fractions = to_fraction(S)
         assert siegel.is_member(as_fractions, t) and member_oracle(as_fractions, t)
     swapped = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -281,7 +284,7 @@ def dirac_oracle(images, L):
     basis-conjugate checked as well."""
     Linv = inverse(L)
     for T in images:
-        C = xm.matmul(Linv, xm.matmul(xm.to_fraction(T), L))
+        C = xm.matmul(Linv, xm.matmul(to_fraction(T), L))
         if not (xm.to_int(C) is not None and xm.to_int(inverse(C)) is not None):
             return False, None
     G = xm.matmul(xm.transpose(L), xm.matmul(sl.standard_gram(sl.delta(len(L) // 2)), L))
@@ -306,7 +309,7 @@ def test_dirac_verification_matches_gauss_jordan_oracle():
         # P = R Gamma_t, R rational symplectic, carries Omega_t to the principal
         # form: P V is a basis of type t, preserved by P S P^-1 for type-t members S
         P = xm.matmul(random_rational_symplectic(rng, len(t)), gamma(t))
-        images = [xm.matmul(P, xm.matmul(xm.to_fraction(
+        images = [xm.matmul(P, xm.matmul(to_fraction(
             siegel.random_member(t, rng, word_length=4).rows()), inverse(P)))
             for _ in range(rng.randint(1, 2))]
         basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
@@ -594,3 +597,42 @@ def test_budget_guard_bounds_the_walk(monkeypatch):
         if budget <= 3 ** 10:
             assert monodromy.conjugacy_test_bounded(rep, rep2, bound, budget) == \
                 monodromy.conjugacy_test_bounded(rep, rep2, bound, 10 ** 12)
+
+
+# ---------------------------------------------------------------------------
+# Fractions only at the boundary
+
+RATIONAL_NAMES = {"fractions", "Fraction", "numerator", "denominator"}
+
+
+def fraction_scopes(path):
+    """The scopes (dotted function or class names, '' for module level) of a module
+    that import fractions or name Fraction, numerator or denominator."""
+    scopes = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = (child.id if isinstance(child, ast.Name) else child.attr
+                    if isinstance(child, ast.Attribute) else child.name
+                    if isinstance(child, ast.alias) else None)
+            if name in RATIONAL_NAMES:
+                scopes.add(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(path.read_text()), ())
+    return scopes
+
+
+def test_fractions_appear_only_where_values_cross_the_boundary():
+    """Exact paths run on int numerators over one denominator: Fraction goes into
+    clear_denominators, comes out of det, translation and serialize, and seeds selftest."""
+    found = {path.name: fraction_scopes(path)
+             for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py"))}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "exactmat.py": {"", "to_int", "clear_denominators", "det"},
+        "siegel.py": {"", "AffElement.translation"},
+        "serialize.py": {"", "fraction_to_json", "fraction_from_json"},
+        "selftest.py": {"", "_affine", "_dirac"},
+    }

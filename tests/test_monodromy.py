@@ -5,7 +5,7 @@ import pytest
 
 from sympforge import exactmat as xm
 from sympforge import monodromy, siegel
-from oracles import inverse
+from oracles import inverse, to_fraction
 
 
 def make_rep(matrices, t=(1,)):
@@ -137,7 +137,7 @@ def test_conjugacy_plant_and_recover():
         ginv = inverse(gamma)
         for a, b in zip(rep.images, rep2.images):
             conj = xm.matmul(gamma, xm.matmul(a.rows(), ginv))
-            assert xm.mat_equal(xm.to_fraction(conj), xm.to_fraction(b.rows()))
+            assert xm.mat_equal(to_fraction(conj), to_fraction(b.rows()))
 
 
 def test_conjugacy_trace_mismatch_shortcut():

@@ -71,6 +71,46 @@ def test_min_type_rejects_non_symplectic():
         siegel.element_min_type([[2, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("T", [[], [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0]]],
+                         ids=["0x0", "1x1", "3x3", "ragged"])
+def test_min_type_refuses_matrices_not_square_of_even_dimension(T):
+    with pytest.raises(ValueError, match="matrix must be square of even dimension"):
+        siegel.element_min_type(T)
+
+
+@pytest.mark.parametrize("kind", ["ints", "fractions", "mixed"])
+def test_min_type_reads_ints_fractions_and_a_mix_alike(kind):
+    """Integral entries as ints, as Fractions, or as a checkerboard of both; the
+    integral matrix takes the L = 1 path of clear_denominators, the other L = 6."""
+    def entry(x, i, j):
+        if kind == "fractions" or kind == "mixed" and (i + j) % 2:
+            return Fraction(x)
+        return int(x) if Fraction(x).denominator == 1 else x
+    integral = [[1, 0, 2, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rational = [[1, 0, Fraction(1, 2), 0], [0, 1, 0, Fraction(1, 3)], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for T, want in ((integral, (1, 1)), (rational, (2, 6))):
+        T = [[entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(T)]
+        assert siegel.element_min_type(T) == want
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.0, "1"], ids=["half", "float", "str"])
+def test_transport_refuses_non_integer_matrices(entry):
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        siegel.transport([[entry, 0], [0, 2]], (1,), (2,))
+
+
+def test_transport_reads_integral_fractions_and_bools_as_ints():
+    assert siegel.transport([[Fraction(2, 2), 0], [0, True]], (1,), (2,)) == [[1, 0], [0, 1]]
+
+
+def test_aff_make_reads_any_iterable_of_rationals():
+    rot = siegel.SiegelElement.make([[1, 1], [0, 1]], (1,))
+    want = (Fraction(1, 2), Fraction(1, 3))
+    for a in ((x for x in [Fraction(1, 2), Fraction(-2, 3)]), iter([0.5, Fraction(4, 3)]),
+              (Fraction(3, 2), Fraction(1, 3))):
+        assert siegel.AffElement.make(a, rot).translation == want
+
+
 def test_aff_compose_torus_subgroup():
     t = (1,)
     rot = siegel.SiegelElement.make(xm.identity(2), t)
