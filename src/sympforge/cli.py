@@ -5,6 +5,10 @@ field to stdout, and exits 0 (success / verified true), 1 (verified
 false), or 2 (invalid input).  Reports embed a reproducibility manifest:
 argv, SHA-256 digests of the inputs (stdin under "-"), tolerances in effect,
 seed, version.
+
+Each handler cmd_* returns (report, exit code); main alone adds the manifest,
+last or in the place of a "manifest": None the handler put in, and writes the
+report.  _read_json records the digest of each file it reads in args.inputs.
 """
 
 import argparse
@@ -34,8 +38,8 @@ def default_tol():
     return float(os.environ.get("SYMPFORGE_TOL", "1e-9"))
 
 
-def _read_json(path, kind):
-    """Parse a JSON input file, or stdin for "-"; returns (data, {path: sha256}).
+def _read_json(args, path, kind):
+    """Parse a JSON input file, or stdin for "-", and record its sha256 in args.inputs.
 
     kind, unless None, is the required type (dict or list) of the top-level value.
     """
@@ -50,17 +54,14 @@ def _read_json(path, kind):
     data = json.loads(text)
     if kind is not None:
         serialize.checked(data, kind, f"{path}: top-level JSON value")
-    return data, {path: hashlib.sha256(text.encode()).hexdigest()}
+    args.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
+    return data
 
 
-def _manifest(args, inputs, tol):
-    return {
-        "command": args.argv,
-        "inputs": inputs or {},
-        "tolerances": {"tol": tol},
-        "seed": getattr(args, "seed", None),  # only selftest takes a seed
-        "version": __version__,
-    }
+def _manifest(args, tol):
+    return {"command": args.argv, "inputs": args.inputs, "tolerances": {"tol": tol},
+            "seed": getattr(args, "seed", None),  # only selftest takes a seed
+            "version": __version__}
 
 
 def _emit(report, code):
@@ -86,51 +87,40 @@ def _parse_vector(text):
 # subcommand handlers
 
 def cmd_lattice(args, tol):
-    data, inputs = _read_json(args.infile, list)
-    G = serialize.int_matrix_from_json(data)
+    G = serialize.int_matrix_from_json(_read_json(args, args.infile, list))
     res = symplattice.symplectic_normal_form(G)
-    report = {"status": "ok", "type": list(res.type),
-              "manifest": _manifest(args, inputs, tol)}
+    report = {"status": "ok", "type": list(res.type), "manifest": None}
     if args.action == "normal-form":
         report["U"] = serialize.int_matrix_to_json(res.basis_change)
-    return _emit(report, 0)
+    return report, 0
 
 
 def cmd_group(args, tol):
-    data, inputs = _read_json(args.infile, list)
+    data = _read_json(args, args.infile, list)
     t = _parse_type(args.type) if args.type else None
     if args.action == "check":
         if t is None:
             raise ValueError("group check requires --type")
-        S = serialize.int_matrix_from_json(data)
-        member = siegel.is_member(S, t)
-        report = {"status": "ok", "member": member,
-                  "manifest": _manifest(args, inputs, tol)}
-        return _emit(report, 0 if member else 1)
-    T = serialize.rational_matrix_from_json(data)
-    found = siegel.element_min_type(T)
+        member = siegel.is_member(serialize.int_matrix_from_json(data), t)
+        return {"status": "ok", "member": member}, 0 if member else 1
+    found = siegel.element_min_type(serialize.rational_matrix_from_json(data))
     if found is None:
-        return _emit({"status": "not_found",
-                      "manifest": _manifest(args, inputs, tol)}, 1)
-    return _emit({"status": "ok", "type": list(found),
-                  "manifest": _manifest(args, inputs, tol)}, 0)
+        return {"status": "not_found"}, 1
+    return {"status": "ok", "type": list(found)}, 0
 
 
 def cmd_aff(args, tol):
-    data, inputs = _read_json(args.infile, dict)
+    data = _read_json(args, args.infile, dict)
     g = siegel.aff_compose(serialize.aff_from_json(data["g1"]),
                            serialize.aff_from_json(data["g2"]))
-    report = {"status": "ok", "result": serialize.aff_to_json(g),
-              "manifest": _manifest(args, inputs, tol)}
-    return _emit(report, 0)
+    return {"status": "ok", "result": serialize.aff_to_json(g)}, 0
 
 
 def cmd_taming(args, tol):
-    data, inputs = _read_json(args.infile, list if args.action == "check" else None)
+    data = _read_json(args, args.infile, list if args.action == "check" else None)
     if args.action == "check":
         ok, rep = taming.is_taming(serialize.float_array_from_json(data), tol=max(tol, 1e-10))
-        return _emit({"status": "ok", "taming": ok, "report": rep,
-                      "manifest": _manifest(args, inputs, tol)}, 0 if ok else 1)
+        return {"status": "ok", "taming": ok, "report": rep}, 0 if ok else 1
     if isinstance(data, dict) and "R" in data:
         J = taming.theta_forward(serialize.period_from_json(data))
         out = {"J": serialize.float_matrix_to_json(J)}
@@ -138,37 +128,34 @@ def cmd_taming(args, tol):
         J = serialize.float_array_from_json(data.get("J", data) if isinstance(data, dict)
                                             else data)
         out = {"N": serialize.period_to_json(taming.theta_inverse(J))}
-    out.update(status="ok", manifest=_manifest(args, inputs, tol))
-    return _emit(out, 0)
+    return {**out, "status": "ok"}, 0
 
 
 def cmd_selfdual(args, tol):
-    data, inputs = _read_json(args.infile, dict)
+    data = _read_json(args, args.infile, dict)
     p = forms4d.LorentzPoint(serialize.float_array_from_json(data["metric"]),
                              serialize.int_from_json(data.get("orientation", 1)))
     N = serialize.period_from_json(data["N"])
     V = serialize.two_form_from_json(data["V"])
     ok, F, rep = forms4d.check_polarized_selfdual(p, N, V, tol=tol)
-    report = {"status": "ok", "selfdual": ok, "report": rep,
-              "manifest": _manifest(args, inputs, tol)}
+    report = {"status": "ok", "selfdual": ok, "report": rep, "manifest": None}
     if ok:
         report["F"] = serialize.two_form_to_json(F)
-    return _emit(report, 0 if ok else 1)
+    return report, 0 if ok else 1
 
 
 def cmd_reduce(args, tol):
-    data, inputs = _read_json(args.infile, dict)
+    data = _read_json(args, args.infile, dict)
     p = forms4d.LorentzPoint(serialize.float_array_from_json(data["metric"]),
                              serialize.int_from_json(data.get("orientation", 1)))
     omega = serialize.two_form_from_json(data["omega"])
     resid = reduction3d.star_decompose_check(p, omega)
     ok = resid < max(tol, 1e-10)
-    return _emit({"status": "ok", "residual": resid, "passes": ok,
-                  "manifest": _manifest(args, inputs, tol)}, 0 if ok else 1)
+    return {"status": "ok", "residual": resid, "passes": ok}, 0 if ok else 1
 
 
 def cmd_bogomolny(args, tol):
-    data, inputs = _read_json(args.infile, dict)
+    data = _read_json(args, args.infile, dict)
     # payload names are relative to the header's directory (cwd for stdin)
     grid, fields = serialize.grid_field_from_json(data, os.path.dirname(args.infile) or ".")
     if "psi" not in fields or "V" not in fields:
@@ -177,30 +164,32 @@ def cmd_bogomolny(args, tol):
     rep = reduction3d.bogomolny_residual(
         grid, J, reduction3d.BogomolnyPair(fields["psi"], fields["V"]))
     ok = rep["eq_residual"] < args.threshold and rep["closure_residual"] < args.threshold
-    return _emit({"status": "ok", "eq_residual": rep["eq_residual"],
-                  "closure_residual": rep["closure_residual"], "passes": ok,
-                  "manifest": _manifest(args, inputs, tol)}, 0 if ok else 1)
+    return {"status": "ok", "eq_residual": rep["eq_residual"],
+            "closure_residual": rep["closure_residual"], "passes": ok}, 0 if ok else 1
 
 
-def _taming_from_spec(spec, n):
-    """The taming J named by --J, and the digests of the files it read."""
-    if spec == "std":
-        return taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), np.eye(n))), None
-    if spec.startswith("edyn:"):
-        theta, gsq = (float(x) for x in spec[5:].split(","))
-        return taming.electrodynamics_taming(theta, gsq), None
-    data, inputs = _read_json(spec, list)
-    return serialize.float_array_from_json(data), inputs
+def _taming_from_spec(args, n):
+    """The taming J named by --J."""
+    if args.J == "std":
+        return taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), np.eye(n)))
+    if args.J.startswith("edyn:"):
+        theta, gsq = (float(x) for x in args.J[5:].split(","))
+        return taming.electrodynamics_taming(theta, gsq)
+    return serialize.float_array_from_json(_read_json(args, args.J, list))
 
 
 def cmd_dyon(args, tol):
     if args.action == "build":
+        if not args.v:
+            raise ValueError("dyon build requires --v")
         v = _parse_vector(args.v)
         vprime = _parse_vector(args.vprime) if args.vprime else [0.0] * len(v)
         t = _parse_type(args.type) if args.type else None
-        J, inputs = _taming_from_spec(args.J, len(v) // 2)
+        J = _taming_from_spec(args, len(v) // 2)
     else:
-        data, inputs = _read_json(args.infile, dict)
+        if not args.infile:
+            raise ValueError("dyon flux requires --in")
+        data = _read_json(args, args.infile, dict)
         v = serialize.float_array_from_json(data["v"])
         vprime = serialize.float_array_from_json(data.get("vprime", np.zeros_like(v)))
         t = serialize.int_tuple_from_json(data["type"]) if "type" in data else None
@@ -210,18 +199,11 @@ def cmd_dyon(args, tol):
         sol = dyons.dyon_construct(J, v, vprime, type_ctx=t)
     verify = dyons.dyon_verify(sol, [0.1, 1.0, 10.0])
     flux = dyons.flux_quantization(sol)
-    report = {
-        "status": "ok",
-        "psi_at_1": sol.psi(1.0).tolist(),
-        "curvature_coeff": sol.curvature_coeff().tolist(),
-        "verify": verify,
-        "flux": flux.flux.tolist(),
-        "normalized": flux.normalized.tolist(),
-        "lattice_member": flux.lattice_member,
-        "realized_sign": flux.realized_sign,
-        "manifest": _manifest(args, inputs, tol),
-    }
-    return _emit(report, 0 if flux.lattice_member else 1)
+    return {"status": "ok", "psi_at_1": sol.psi(1.0).tolist(),
+            "curvature_coeff": sol.curvature_coeff().tolist(), "verify": verify,
+            "flux": flux.flux.tolist(), "normalized": flux.normalized.tolist(),
+            "lattice_member": flux.lattice_member,
+            "realized_sign": flux.realized_sign}, 0 if flux.lattice_member else 1
 
 
 def cmd_edyn(args, tol):
@@ -231,15 +213,12 @@ def cmd_edyn(args, tol):
         rep["grid"], rep["E_vec"], rep["B_vec"], rep["Phi"], rep["Upsilon"],
         args.theta, args.gsq)
     ok = ok_fiber and all(v < 1e-6 for v in rep["maxwell"].values())
-    return _emit({"status": "ok", "maxwell": rep["maxwell"],
-                  "potential_gap": rep["potential_gap"],
-                  "h_theta_fiber": fiber, "passes": ok,
-                  "manifest": _manifest(args, None, tol)}, 0 if ok else 1)
+    return {"status": "ok", "maxwell": rep["maxwell"], "potential_gap": rep["potential_gap"],
+            "h_theta_fiber": fiber, "passes": ok}, 0 if ok else 1
 
 
 def cmd_monodromy(args, tol):
-    data, inputs = _read_json(args.infile, dict)
-    manifest = _manifest(args, inputs, tol)
+    data = _read_json(args, args.infile, dict)
     if args.action == "validate":
         pres = serialize.checked(data["presentation"], dict, "presentation")
         pres = monodromy.Presentation.make(
@@ -250,25 +229,22 @@ def cmd_monodromy(args, tol):
         rep = monodromy.Representation.make([serialize.int_matrix_from_json(m) for m in images],
                                             serialize.int_tuple_from_json(data["type"]))
         ok = monodromy.validate_representation(pres, rep)
-        return _emit({"status": "ok", "valid": ok, "manifest": manifest},
-                     0 if ok else 1)
+        return {"status": "ok", "valid": ok}, 0 if ok else 1
     if args.action == "dirac-verify":
         images = [serialize.rational_matrix_from_json(m)
                   for m in serialize.checked(data["images"], list, "images")]
         L = serialize.rational_matrix_from_json(data["lattice"])
         ok, t = monodromy.verify_dirac_system(images, L)
-        return _emit({"status": "ok", "preserved": ok,
-                      "type": list(t) if t else None, "manifest": manifest},
-                     0 if ok else 1)
+        return {"status": "ok", "preserved": ok, "type": list(t) if t else None}, 0 if ok else 1
     t = serialize.int_tuple_from_json(data["type"])
     rep1, rep2 = (monodromy.Representation.make(
         [serialize.int_matrix_from_json(m) for m in serialize.checked(data[key], list, key)], t)
         for key in ("rep1", "rep2"))
     gamma, cert = monodromy.conjugacy_test_bounded(rep1, rep2, args.bound)
-    report = {"status": "ok", "certificate": cert, "manifest": manifest}
+    report = {"status": "ok", "certificate": cert, "manifest": None}
     if gamma is not None:
         report["conjugator"] = serialize.int_matrix_to_json(gamma)
-    return _emit(report, 0 if gamma is not None else 1)
+    return report, 0 if gamma is not None else 1
 
 
 def cmd_selftest(args, tol):
@@ -277,9 +253,7 @@ def cmd_selftest(args, tol):
         raise ValueError(f"unknown module {scope!r}; choose from "
                          f"{['all'] + sorted(selftest.SUITES)}")
     passed, report = selftest.run(scope, args.seed)
-    out = {"status": "ok" if passed else "failed", "suites": report,
-           "manifest": _manifest(args, None, tol)}
-    return _emit(out, 0 if passed else 1)
+    return {"status": "ok" if passed else "failed", "suites": report}, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +264,11 @@ def build_parser():
                     help="override the default tolerance (env SYMPFORGE_TOL)")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    def add(name, actions, func, infile="--in", required=True):
+    def add(name, actions, func, infile="--in"):
         p = sub.add_parser(name)
         p.add_argument("action", choices=actions)
         if infile:
-            p.add_argument(infile, dest="infile", required=required)
+            p.add_argument(infile, dest="infile", required=True)
         p.set_defaults(func=func)
         return p
 
@@ -306,7 +280,8 @@ def build_parser():
     add("reduce", ["astdec-check"], cmd_reduce)
     add("bogomolny", ["residual"], cmd_bogomolny).add_argument(
         "--threshold", type=float, default=1e-6)
-    dy = add("dyon", ["build", "flux"], cmd_dyon, required=False)
+    dy = add("dyon", ["build", "flux"], cmd_dyon, infile=None)
+    dy.add_argument("--in", dest="infile", default=None)
     for flag in ("--type", "--v", "--vprime"):
         dy.add_argument(flag, default=None)
     dy.add_argument("--J", default="std")
@@ -328,7 +303,7 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
-    ap.set_defaults(argv=argv)  # recorded in the manifest
+    ap.set_defaults(argv=argv, inputs={})  # recorded in the manifest
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -343,14 +318,12 @@ def main(argv=None):
                             ("--seed", getattr(args, "seed", 0))):
             if not 0 <= value < float("inf"):
                 raise ValueError(f"{name} must be finite and non-negative, not {value}")
-        if args.group == "dyon" and args.action == "build" and not args.v:
-            raise ValueError("dyon build requires --v")
-        if args.group == "dyon" and args.action == "flux" and not args.infile:
-            raise ValueError("dyon flux requires --in")
         with warnings.catch_warnings():  # np.errstate would load numpy for every group
             warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
                                     RuntimeWarning)  # numpy's: a non-finite report is refused
-            return args.func(args, tol)
+            report, code = args.func(args, tol)
+            report["manifest"] = _manifest(args, tol)
+            return _emit(report, code)
     except INVALID_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         json.dump({"status": "invalid_input", "error": str(exc)}, sys.stdout)

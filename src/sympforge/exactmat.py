@@ -69,7 +69,10 @@ def clear_denominators(A):
     ints or anything Fraction takes."""
     if (M := to_int(A)) is not None:
         return M, 1
-    A = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in A]
+    try:
+        A = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in A]
+    except (TypeError, OverflowError):   # None, a list, inf
+        raise ValueError("matrix entries must be finite numbers") from None
     L = lcm(*(x.denominator for row in A for x in row))
     return [[x.numerator * (L // x.denominator) for x in row] for row in A], L
 

@@ -24,12 +24,12 @@ class Presentation:
 
     @staticmethod
     def make(n_generators, relators):
-        n = int(n_generators)
+        [n] = sl.integers([n_generators], "generator count must be an integer")
         if n < 1:
             raise ValueError("need at least one generator")
         rels = []
         for word in relators:
-            word = tuple(int(x) for x in word)
+            word = sl.integers(word, "relator letters must be integers")
             if any(x == 0 or abs(x) > n for x in word):
                 raise ValueError(f"relator index out of range in {word}")
             rels.append(word)

@@ -17,7 +17,7 @@ from operator import mul
 from . import exactmat as xm
 
 
-def _ints(xs, message):
+def integers(xs, message):
     """The entries of xs as ints; ValueError(message) unless each is an integer."""
     xs = tuple(xs)
     try:
@@ -31,7 +31,7 @@ def _ints(xs, message):
 
 def validate_type(t):
     """Check the divisibility-chain condition on a type vector."""
-    t = _ints(t, "type entries must be integers")
+    t = integers(t, "type entries must be integers")
     if not t:
         raise ValueError("type vector must be non-empty")
     if any(x < 1 for x in t):
@@ -59,7 +59,7 @@ def standard_gram(t):
 
 
 def check_gram(omega):
-    """Validate an integer antisymmetric Gram matrix; returns half-dimension."""
+    """Validate an integer antisymmetric Gram matrix; returns its rows as lists of ints."""
     m = len(omega)
     if m == 0:
         raise ValueError("Gram matrix must be non-empty")
@@ -67,11 +67,10 @@ def check_gram(omega):
         raise ValueError("Gram matrix must be square")
     if m % 2 != 0:
         raise ValueError(f"dimension {m} is odd")
-    for i in range(m):
-        for j in range(m):
-            if omega[i][j] != -omega[j][i]:
-                raise ValueError("Gram matrix must be antisymmetric")
-    return m // 2
+    A = [list(integers(row, "Gram matrix must be integral")) for row in omega]
+    if any(A[i][j] != -A[j][i] for i in range(m) for j in range(i, m)):
+        raise ValueError("Gram matrix must be antisymmetric")
+    return A
 
 
 @dataclass
@@ -136,9 +135,8 @@ def symplectic_normal_form(omega):
     pass.  Remainders re-pivot; once the pivot divides the block, row f
     clears by multiples of e, and the pair is size-reduced both ways.
     """
-    n = check_gram(omega)
-    m = 2 * n
-    A = [list(_ints(row, "Gram matrix must be integral")) for row in omega]
+    A = check_gram(omega)
+    m = len(A)
     U = xm.identity(m)
     divisors = []
     s = 0

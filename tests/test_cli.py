@@ -342,6 +342,96 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     assert report["manifest"]["tolerances"]["tol"] == 1e-7
 
 
+def selfdual_payload(passing):
+    p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    N = taming.PeriodMatrix([[0.0]], [[1.0]])
+    F = forms4d.random_two_form(np.random.default_rng(0), 1)
+    lower = forms4d.g_map(p, N, F) if passing else np.zeros_like(F)
+    return {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(), "orientation": 1,
+            "N": {"R": [[0.0]], "I": [[1.0]]},
+            "V": serialize.two_form_to_json(np.concatenate([F, lower]))}
+
+
+def bogomolny_payload():
+    J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
+    grid = dyons.default_far_grid(nodes=5)
+    pair = dyons.dyon_construct(J, [0, 1], [0, 0]).sample_pair(grid)
+    return dict(serialize.grid_field_to_json(grid, {"psi": pair.psi, "V": pair.V}),
+                J=J.tolist())
+
+
+DYON_KEYS = ["status", "psi_at_1", "curvature_coeff", "verify", "flux", "normalized",
+             "lattice_member", "realized_sign", "manifest"]
+KEY_ORDER = {
+    "lattice_normal_form": (["lattice", "normal-form", "--in", "IN"], lambda: [[0, 3], [-3, 0]],
+                            0, ["status", "type", "manifest", "U"]),
+    "lattice_type": (["lattice", "type", "--in", "IN"], lambda: [[0, 3], [-3, 0]],
+                     0, ["status", "type", "manifest"]),
+    "group_check": (["group", "check", "--matrix", "IN", "--type", "2"], lambda: [[1, 1], [0, 1]],
+                    0, ["status", "member", "manifest"]),
+    "group_min_type": (["group", "min-type", "--matrix", "IN"], lambda: [[1, [1, 2]], [0, 1]],
+                       0, ["status", "type", "manifest"]),
+    "group_min_type_not_found": (["group", "min-type", "--matrix", "IN"],
+                                 lambda: [[[1, 2], 0], [0, 2]], 1, ["status", "manifest"]),
+    "aff_compose": (["aff", "compose", "--in", "IN"], lambda: AFF_PAIR,
+                    0, ["status", "result", "manifest"]),
+    "taming_convert_forward": (["taming", "convert", "--in", "IN"],
+                               lambda: {"R": [[0.0]], "I": [[1.0]]},
+                               0, ["J", "status", "manifest"]),
+    "taming_convert_inverse": (["taming", "convert", "--in", "IN"],
+                               lambda: [[0.0, 1.0], [-1.0, 0.0]], 0, ["N", "status", "manifest"]),
+    "taming_check": (["taming", "check", "--in", "IN"], lambda: [[0.0, 1.0], [-1.0, 0.0]],
+                     0, ["status", "taming", "report", "manifest"]),
+    "selfdual_passing": (["selfdual", "check", "--in", "IN"], lambda: selfdual_payload(True),
+                         0, ["status", "selfdual", "report", "manifest", "F"]),
+    "selfdual_failing": (["selfdual", "check", "--in", "IN"], lambda: selfdual_payload(False),
+                         1, ["status", "selfdual", "report", "manifest"]),
+    "reduce_astdec_check": (["reduce", "astdec-check", "--in", "IN"],
+                            lambda: {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(),
+                                     "omega": serialize.two_form_to_json(
+                                         forms4d.random_two_form(np.random.default_rng(1), 2))},
+                            0, ["status", "residual", "passes", "manifest"]),
+    "bogomolny_residual": (["bogomolny", "residual", "--in", "IN"], bogomolny_payload,
+                           0, ["status", "eq_residual", "closure_residual", "passes", "manifest"]),
+    "dyon_build": (["dyon", "build", "--v", "0,1"], None, 0, DYON_KEYS),
+    "dyon_flux": (["dyon", "flux", "--in", "IN"],
+                  lambda: {"v": [0, 1], "J": [[0.0, 1.0], [-1.0, 0.0]]}, 0, DYON_KEYS),
+    "edyn_build": (["edyn", "build", "--qm", "1"], None,
+                   0, ["status", "maxwell", "potential_gap", "h_theta_fiber", "passes", "manifest"]),
+    "monodromy_validate": (["monodromy", "validate", "--in", "IN"],
+                           lambda: {"presentation": {"generators": 1, "relators": []},
+                                    "images": [[[1, 1], [0, 1]]], "type": [1]},
+                           0, ["status", "valid", "manifest"]),
+    "monodromy_dirac_verify": (["monodromy", "dirac-verify", "--in", "IN"],
+                               lambda: {"images": [[[1, [1, 2]], [0, 1]]],
+                                        "lattice": [[1, 0], [0, 2]]},
+                               0, ["status", "preserved", "type", "manifest"]),
+    "monodromy_conjugacy_found": (["monodromy", "conjugacy", "--in", "IN"],
+                                  lambda: {"rep1": [[[1, 1], [0, 1]]], "rep2": [[[0, 1], [-1, 2]]],
+                                           "type": [1]},
+                                  0, ["status", "certificate", "manifest", "conjugator"]),
+    "monodromy_conjugacy_not_found": (["monodromy", "conjugacy", "--in", "IN"],
+                                      lambda: {"rep1": [[[1, 1], [0, 1]]],
+                                               "rep2": [[[1, 2], [0, 1]]], "type": [1]},
+                                      1, ["status", "certificate", "manifest"]),
+    "selftest": (["selftest", "taming", "--seed", "7"], None,
+                 0, ["status", "suites", "manifest"]),
+    "invalid_input": (["lattice", "type", "--in", "IN"], lambda: [[0, 1], [1, 0]],
+                      2, ["status", "error"]),
+    "usage_error": (["lattice"], None, 2, ["status"]),
+}
+
+
+@pytest.mark.parametrize("case", KEY_ORDER)
+def test_report_key_order(case, tmp_path, capsys):
+    argv, payload, want_code, keys = KEY_ORDER[case]
+    if payload is not None:
+        argv = [write(tmp_path, "in.json", payload()) if a == "IN" else a for a in argv]
+    code, report = run(capsys, argv)
+    assert code == want_code
+    assert list(report) == keys
+
+
 def binary_grid_header(tmp_path, psi_file):
     """Header of a 3^3 grid whose V payload exists and whose psi payload is
     named psi_file; the header itself goes in tmp_path/sub."""
@@ -544,6 +634,15 @@ def test_no_library_module_imports_scipy():
     assert imported == []
 
 
+def test_only_main_adds_the_manifest_and_writes_the_report():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    # each call, module-level or nested, under the top-level definition it sits in
+    callers = {(getattr(top, "name", "<module>"), node.func.id) for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) in ("_emit", "_manifest")}
+    assert callers == {("main", "_emit"), ("main", "_manifest")}
+
+
 IN_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 from sympforge import cli
@@ -645,7 +744,7 @@ import numpy as np
 from sympforge import cli
 def handler(args, tol):
     EXPR
-    return cli._emit({"status": "ok"}, 0)
+    return {"status": "ok"}, 0
 cli.cmd_edyn = handler
 sys.exit(cli.main(["edyn", "build"]))
 """

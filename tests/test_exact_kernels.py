@@ -636,3 +636,14 @@ def test_fractions_appear_only_where_values_cross_the_boundary():
         "serialize.py": {"", "fraction_to_json", "fraction_from_json"},
         "selftest.py": {"", "_affine", "_dirac"},
     }
+
+
+@pytest.mark.parametrize("call", [
+    lambda: siegel.element_min_type([[1, None], [0, 1]]),
+    lambda: monodromy.verify_dirac_system([[[1, 0], [0, 1]]], [[1, None], [0, 1]]),
+    lambda: siegel.AffElement.make([None, 0], siegel.SiegelElement.make(xm.identity(2), (1,))),
+], ids=["element_min_type", "verify_dirac_system", "AffElement.make"])
+def test_clear_denominators_refuses_a_non_number_entry_with_value_error(call):
+    # Fraction(None) raised TypeError through each entry point
+    with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
+        call()

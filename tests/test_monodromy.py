@@ -47,6 +47,22 @@ def test_presentation_rejects_out_of_range_relator():
         monodromy.Presentation.make(1, [(1, 2)])
 
 
+@pytest.mark.parametrize("n, relators, message", [
+    (2.9, [], "generator count must be an integer"),
+    (2, [(1.7, -2.2)], "relator letters must be integers"),
+    ("2", [], "generator count must be an integer"),
+], ids=["float_count", "float_letters", "string_count"])
+def test_presentation_refuses_non_integral_entries(n, relators, message):
+    # make truncated 2.9 to 2 and (1.7, -2.2) to (1, -2)
+    with pytest.raises(ValueError, match=message):
+        monodromy.Presentation.make(n, relators)
+
+
+def test_presentation_accepts_integral_values_of_any_number_type():
+    assert monodromy.Presentation.make(2.0, [(Fraction(1), -2.0)]) == \
+        monodromy.Presentation(2, ((1, -2),))
+
+
 def test_holonomy_triviality():
     trivial = make_rep([xm.identity(2), xm.identity(2)])
     assert monodromy.is_holonomy_trivial(trivial)

@@ -14,7 +14,6 @@ import sympforge
 
 OPTIONS = {
     "cli.build_parser.add.infile",
-    "cli.build_parser.add.required",
     "cli.main.argv",
     "dyons.dyon_construct.type_ctx",
     "dyons.default_far_grid.nodes",

@@ -169,6 +169,14 @@ def test_non_integral_gram_is_refused(omega):
         sl.space_type(omega)
 
 
+@pytest.mark.parametrize("omega", [[[0, "1"], ["-1", 0]], [[0, 1.5], [1, 0]]],
+                         ids=["strings", "non_integral_and_not_antisymmetric"])
+def test_gram_integrality_is_checked_before_antisymmetry(omega):
+    # antisymmetry on the raw entries raised TypeError on strings, and named the wrong fault
+    with pytest.raises(ValueError, match="Gram matrix must be integral"):
+        sl.space_type(omega)
+
+
 @pytest.mark.parametrize("t", [[2.5, 6], (1.7,), [1, float("nan")]])
 def test_non_integer_type_entries_are_refused(t):
     with pytest.raises(ValueError, match="type entries must be integers"):
