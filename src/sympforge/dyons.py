@@ -2,15 +2,14 @@
 
 For a constant taming J the radial Higgs field is psi(r) = J v / (2r) + v'
 and the curvature two-form is c = -(1/2) v times the solid-angle form sigma,
-so the flux through any sphere around the puncture is c times the integral of
-sigma, -2 pi v.  The charge vector v must lie in the integer lattice for the
+so the flux through any sphere around the puncture is c times the solid angle
+4 pi, -2 pi v.  The charge vector v must lie in the integer lattice for the
 solution to come from an honest principal connection; flux_quantization
-checks that, with the integral of sigma taken once per process by quadrature.
+checks that on this closed form (the tests check it against a quadrature of sigma).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -155,32 +154,14 @@ class FluxReport:
     chern: np.ndarray
 
 
-@cache
-def _solid_angle_integral():
-    """The solid-angle form integrated over the unit sphere, 4 pi up to rounding:
-    32 Gauss-Legendre nodes in cos(polar) x 64 uniform azimuths."""
-    u, wu = np.polynomial.legendre.leggauss(32)
-    U, PHI = np.meshgrid(u, 2 * np.pi * np.arange(64) / 64, indexing="ij")
-    s = np.sqrt(np.maximum(1 - U**2, 0.0))
-    pts = np.stack([s * np.cos(PHI), s * np.sin(PHI), U], axis=-1)
-    # tangents of the (phi, u) parametrization; this ordering gives the
-    # outward orientation with integral +4 pi for the solid-angle form
-    t_phi = np.stack([-s * np.sin(PHI), s * np.cos(PHI), np.zeros_like(U)], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.stack([-U / s * np.cos(PHI), -U / s * np.sin(PHI), np.ones_like(U)], axis=-1)
-    integrand = np.einsum("...ab,...a,...b->...", solid_angle_form(pts), t_phi, np.nan_to_num(du))
-    return float(np.einsum("uv,u->", integrand, wu)) * (2 * np.pi / 64)
-
-
 def flux_quantization(sol):
-    """Flux of the curvature c sigma through the unit sphere, c times the
-    quadrature of sigma; the analytic value is -2 pi v.  Membership is tested for
-    both signs of flux / 2 pi (the orientation of the sphere is a convention)
-    against Z^{2n}.
+    """Flux of the curvature c sigma through the unit sphere in closed form: c times
+    the solid angle 4 pi, that is -2 pi v.  Membership is tested for both signs of
+    flux / 2 pi (the orientation of the sphere is a convention) against Z^{2n}.
     """
-    flux = sol.curvature_coeff() * _solid_angle_integral() + 0.0   # 0.0, not -0.0, at v_j = 0
-    if not np.all(np.isfinite(flux)):
-        raise ValueError("non-finite quadrature result")
+    flux = sol.curvature_coeff() * (4 * np.pi) + 0.0   # 0.0, not -0.0, at v_j = 0
+    if not np.all(np.isfinite(flux)):   # |v| near the float maximum overflows
+        raise ValueError("non-finite flux")
     normalized = flux / (2 * np.pi)
     member = bool(np.max(np.abs(normalized - np.round(normalized))) < 1e-8)
     if np.max(np.abs(normalized + sol.v)) < 1e-8:

@@ -1,13 +1,17 @@
-"""Small exact-arithmetic matrix kit on Python ints.
+"""Small exact-arithmetic matrix kit on Python ints, and the one reader of exact input.
 
-Matrices are plain lists of row lists.  Everything here is exact: no
-floating point enters, so equality checks are meaningful.  clear_denominators is
-where a rational matrix becomes ints, M / L over one denominator L; det is
-fraction-free (Bareiss) and echelon uses unimodular integer row operations only.
+Matrices are plain lists of row lists.  Everything here is exact: no floating point
+enters, so equality checks are meaningful.  Exact input is read here by one rule: an
+entry is a number (numbers.Number, never a str), an integer when int(x) == x (True, 2.0,
+Fraction(4, 2) and numpy.int64(2) read as 2) and else Fraction(x), never inf or NaN.
+to_int reads integers, clear_denominators rationals as M / L over one denominator L;
+like is_square they answer a value that is not rows of numbers with None, ValueError or
+False.  det is fraction-free (Bareiss); echelon uses unimodular integer row operations.
 """
 
 from fractions import Fraction
 from math import lcm
+from numbers import Number
 from operator import mul
 
 
@@ -47,32 +51,48 @@ def mat_equal(A, B):
 
 
 def is_square(A):
-    return all(len(row) == len(A) for row in A)
+    try:
+        return {*map(len, A)} <= {len(A)}
+    except TypeError:   # A or a row has no length
+        return False
 
 
-def to_int(A):
-    """A as rows of plain ints, or None unless every entry is an int (a bool too) or an
-    integral Fraction."""
+def rows(A, entry):
+    """A's rows as lists, rows not of plain ints through entry; None if unreadable."""
     out = []
-    for row in A:
-        if not all(type(x) is int for x in row):
-            row = [int(x) if isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
-                   else None for x in row]
-            if None in row:
-                return None
-        out.append(list(row))
+    try:
+        for row in map(list, A):
+            out.append(row if {*map(type, row)} == {int} else list(map(entry, row)))
+    except (TypeError, ValueError, ArithmeticError):
+        return None
     return out
 
 
+def _number(x):
+    """x as an int if it is an integer, else x; raises unless x is a finite number."""
+    if not isinstance(x, Number):
+        raise TypeError(x)
+    return n if (n := int(x)) == x else x      # int(inf) and int(nan) raise
+
+
+def _integer(x):
+    if type(n := _number(x)) is not int:
+        raise ValueError(x)
+    return n
+
+
+def to_int(A):
+    """A as rows of plain ints, or None unless every entry is an integer."""
+    return rows(A, _integer)
+
+
 def clear_denominators(A):
-    """(L A, L) in ints for the least common denominator L of A's entries, which are
-    ints or anything Fraction takes."""
-    if (M := to_int(A)) is not None:
-        return M, 1
-    try:
-        A = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in A]
-    except (TypeError, OverflowError):   # None, a list, inf
-        raise ValueError("matrix entries must be finite numbers") from None
+    """(L A, L) in ints, L the least common denominator of A's entries; or ValueError."""
+    A = rows(A, lambda x: x if type(x) is Fraction or type(x) is int else Fraction(_number(x)))
+    if A is None:
+        raise ValueError("matrix entries must be finite numbers")
+    if all(type(x) is int for row in A for x in row):
+        return A, 1
     L = lcm(*(x.denominator for row in A for x in row))
     return [[x.numerator * (L // x.denominator) for x in row] for row in A], L
 
@@ -83,8 +103,10 @@ def det(A):
     The matrix is scaled to integers by the common denominator L of its entries,
     so every division is exact and det A = det(L A) / L^n.
     """
-    n = len(A)
+    if not is_square(A):
+        raise ValueError("determinant needs a square matrix")
     M, L = clear_denominators(A)
+    n = len(M)
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
@@ -105,7 +127,9 @@ def det(A):
 def echelon(rows):
     """Integer row echelon form by unimodular row operations, Euclid down each column:
     the nonzero rows, leading columns strictly increasing, leading entries positive."""
-    rows, out = [list(r) for r in rows], []
+    rows, out = to_int(rows), []
+    if rows is None or len(set(map(len, rows))) > 1:
+        raise ValueError("echelon needs rows of integers, all of one length")
     for col in range(len(rows[0]) if rows else 0):
         while live := [r for r in rows if r[col]]:
             p = min(live, key=lambda r: abs(r[col]))

@@ -24,16 +24,16 @@ class Presentation:
 
     @staticmethod
     def make(n_generators, relators):
-        [n] = sl.integers([n_generators], "generator count must be an integer")
-        if n < 1:
+        if (count := xm.to_int([[n_generators]])) is None:
+            raise ValueError("generator count must be an integer")
+        if (n := count[0][0]) < 1:
             raise ValueError("need at least one generator")
-        rels = []
-        for word in relators:
-            word = sl.integers(word, "relator letters must be integers")
+        if (rels := xm.to_int(relators)) is None:
+            raise ValueError("relator letters must be integers")
+        for word in rels:
             if any(x == 0 or abs(x) > n for x in word):
-                raise ValueError(f"relator index out of range in {word}")
-            rels.append(word)
-        return Presentation(n, tuple(rels))
+                raise ValueError(f"relator index out of range in {tuple(word)}")
+        return Presentation(n, tuple(map(tuple, rels)))
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class Representation:
     @staticmethod
     def make(matrices, type_ctx):
         t = sl.validate_type(type_ctx)
+        if (matrices := xm.rows(matrices, lambda row: row)) is None:
+            raise ValueError("images must be a sequence of matrices")
         return Representation(tuple(siegel.SiegelElement.make(m, t) for m in matrices), t)
 
     def evaluate(self, word):
@@ -84,15 +86,15 @@ def verify_dirac_system(images, lattice_basis):
     of the echelon form's leading entries (det T = 1 makes the lattices equal).
     """
     DL, D = xm.clear_denominators(lattice_basis)
-    m = len(DL)
-    if m % 2 or not xm.is_square(DL):
+    if not (m := len(DL)) or m % 2 or not xm.is_square(DL):
         raise ValueError("lattice basis must be square of even dimension")
+    if (images := xm.rows(images, lambda row: row)) is None or not all(
+            xm.is_square(T) and len(T) == m for T in images):
+        raise ValueError(f"images must be {m}x{m}, like the lattice basis")
     if len(E := xm.echelon(xm.transpose(DL))) < m:
         raise ValueError("lattice basis is singular")
     covolume = lambda rows: prod(r[i] for i, r in enumerate(rows))   # of m echelon rows
     for T in images:
-        if len(T) != m or not xm.is_square(T):
-            raise ValueError(f"images must be {m}x{m}, like the lattice basis")
         if (scaled := siegel.symplectic_numerators(T)) is None:   # T = dT / d
             raise ValueError("image is not symplectic for the standard form")
         dT, d = scaled
@@ -134,7 +136,9 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     None, decisive with "trace mismatch" and else not found within the bound.  Raises
     BoundTooLargeForBudget past the work of a full walk of (2b + 1)^(rank - 1) = budget leaves.
     """
-    if entry_bound < 0:
+    if (bound := xm.to_int([[entry_bound]])) is None:
+        raise ValueError("entry bound must be an integer")
+    if (entry_bound := bound[0][0]) < 0:
         raise ValueError("entry bound must be non-negative")
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
         raise ValueError("representations are not comparable")

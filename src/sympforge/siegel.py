@@ -116,8 +116,7 @@ def element_min_type(T):
     must divide cap = L^n; without that bound the raising need not stop (D_11 = 1/2
     doubles t_1 on each pass).  Returns None when an entry leaves cap or A, C fail.
     """
-    m = len(T)
-    if not m or m % 2 or not xm.is_square(T):
+    if not xm.is_square(T) or not (m := len(T)) or m % 2:
         raise ValueError("matrix must be square of even dimension")
     if (scaled := symplectic_numerators(T)) is None:
         raise ValueError("matrix is not symplectic for the standard form")
@@ -165,7 +164,7 @@ class AffElement:
 
     @staticmethod
     def make(translation, rotation):
-        [nums], den = xm.clear_denominators([list(translation)])
+        [nums], den = xm.clear_denominators([translation])
         if len(nums) != len(rotation.matrix):
             raise ValueError("translation length does not match rotation size")
         return _aff(nums, den, rotation)

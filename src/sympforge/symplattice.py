@@ -1,13 +1,13 @@
 """Exact classification of integral symplectic lattices.
 
-A full-rank lattice with an integer-valued symplectic pairing is classified
-up to isomorphism by its divisibility chain t_1 | t_2 | ... | t_n of
-elementary divisors (its "type").  This module computes that normal form by
-exact unimodular reduction, together with the lattice-order structure on
-types (componentwise gcd/lcm) and sublattice refinement.
+A full-rank lattice with an integer-valued symplectic pairing is classified up to
+isomorphism by its divisibility chain t_1 | t_2 | ... | t_n of elementary divisors (its
+"type"), which this module computes by exact unimodular reduction, together with the
+lattice-order structure on types (componentwise gcd/lcm) and sublattice refinement.
 
-All arithmetic is arbitrary-precision integer arithmetic; every
-post-condition here is an exact matrix identity, never a tolerance.
+Gram matrices, bases and types are read by exactmat's one rule (an entry is an integer
+when it is a number with int(x) == x).  All arithmetic is arbitrary-precision integer
+arithmetic; every post-condition here is an exact matrix identity, never a tolerance.
 """
 
 from dataclasses import dataclass
@@ -17,22 +17,11 @@ from operator import mul
 from . import exactmat as xm
 
 
-def integers(xs, message):
-    """The entries of xs as ints; ValueError(message) unless each is an integer."""
-    xs = tuple(xs)
-    try:
-        out = tuple(map(int, xs))
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out != xs:
-        raise ValueError(message)
-    return out
-
-
 def validate_type(t):
     """Check the divisibility-chain condition on a type vector."""
-    t = integers(t, "type entries must be integers")
-    if not t:
+    if (rows := xm.to_int([t])) is None:
+        raise ValueError("type entries must be integers")
+    if not (t := tuple(rows[0])):
         raise ValueError("type vector must be non-empty")
     if any(x < 1 for x in t):
         raise ValueError("type entries must be positive")
@@ -60,14 +49,14 @@ def standard_gram(t):
 
 def check_gram(omega):
     """Validate an integer antisymmetric Gram matrix; returns its rows as lists of ints."""
-    m = len(omega)
-    if m == 0:
-        raise ValueError("Gram matrix must be non-empty")
     if not xm.is_square(omega):
         raise ValueError("Gram matrix must be square")
+    if (m := len(omega)) == 0:
+        raise ValueError("Gram matrix must be non-empty")
     if m % 2 != 0:
         raise ValueError(f"dimension {m} is odd")
-    A = [list(integers(row, "Gram matrix must be integral")) for row in omega]
+    if (A := xm.to_int(omega)) is None:
+        raise ValueError("Gram matrix must be integral")
     if any(A[i][j] != -A[j][i] for i in range(m) for j in range(i, m)):
         raise ValueError("Gram matrix must be antisymmetric")
     return A
@@ -223,5 +212,8 @@ def refine_sublattice(t, t2):
 
 
 def restrict_gram(omega, basis):
-    """Pull back a Gram matrix along a (column-spanning) basis matrix."""
-    return xm.matmul(xm.transpose(basis), xm.matmul(omega, basis))
+    """Pull back a Gram matrix along a (column-spanning) basis matrix of integers."""
+    omega, B = check_gram(omega), xm.to_int(basis)
+    if B is None or len(B) != len(omega) or not B[0] or len(set(map(len, B))) > 1:
+        raise ValueError("basis must be an integer matrix with one row per Gram row")
+    return xm.matmul(xm.transpose(B), xm.matmul(omega, B))

@@ -631,7 +631,7 @@ def test_fractions_appear_only_where_values_cross_the_boundary():
     found = {path.name: fraction_scopes(path)
              for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py"))}
     assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "exactmat.py": {"", "to_int", "clear_denominators", "det"},
+        "exactmat.py": {"", "clear_denominators", "det"},
         "siegel.py": {"", "AffElement.translation"},
         "serialize.py": {"", "fraction_to_json", "fraction_from_json"},
         "selftest.py": {"", "_affine", "_dirac"},

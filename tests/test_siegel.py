@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sympforge import exactmat as xm
@@ -26,7 +27,8 @@ def test_is_member_dimension_mismatch():
         siegel.is_member(xm.identity(2), (1, 2))
 
 
-@pytest.mark.parametrize("entry", [Fraction(2, 2), True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("entry", [Fraction(2, 2), True, 1.0, np.int64(1)],
+                         ids=["fraction", "bool", "float", "numpy"])
 def test_membership_accepts_integral_fractions_and_bools(entry):
     M = [[entry, 0], [0, 1]]
     assert siegel.is_member(M, (1,)) is True
@@ -35,7 +37,7 @@ def test_membership_accepts_integral_fractions_and_bools(entry):
     assert all(type(x) is int for row in g.matrix for x in row)
 
 
-@pytest.mark.parametrize("entry", [1.0, Fraction(1, 2), "1"], ids=["float", "half", "str"])
+@pytest.mark.parametrize("entry", [Fraction(1, 2), "1"], ids=["half", "str"])
 def test_membership_refuses_non_integer_entries(entry):
     M = [[entry, 0], [0, 1]]
     assert siegel.is_member(M, (1,)) is False
@@ -93,7 +95,7 @@ def test_min_type_reads_ints_fractions_and_a_mix_alike(kind):
         assert siegel.element_min_type(T) == want
 
 
-@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.0, "1"], ids=["half", "float", "str"])
+@pytest.mark.parametrize("entry", [Fraction(1, 2), "1"], ids=["half", "str"])
 def test_transport_refuses_non_integer_matrices(entry):
     with pytest.raises(ValueError, match="matrix entries must be integers"):
         siegel.transport([[entry, 0], [0, 2]], (1,), (2,))
@@ -101,6 +103,13 @@ def test_transport_refuses_non_integer_matrices(entry):
 
 def test_transport_reads_integral_fractions_and_bools_as_ints():
     assert siegel.transport([[Fraction(2, 2), 0], [0, True]], (1,), (2,)) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("entry", [1.0, np.int64(1)], ids=["float", "numpy"])
+def test_transport_reads_integral_floats_and_numpy_ints_as_ints(entry):
+    out = siegel.transport([[entry, 0], [0, 1]], (1,), (2,))
+    assert out == [[1, 0], [0, 1]]
+    assert all(type(x) is int for row in out for x in row)
 
 
 def test_aff_make_reads_any_iterable_of_rationals():
