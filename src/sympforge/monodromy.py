@@ -49,7 +49,8 @@ class Representation:
         return Representation(tuple(siegel.SiegelElement.make(m, t) for m in matrices), t)
 
     def evaluate(self, word):
-        acc = siegel.SiegelElement(siegel._eye(len(self.images[0].matrix)), self.type_ctx)
+        # the identity of the type's dimension: a representation may have no images
+        acc = siegel.SiegelElement(siegel._eye(2 * len(self.type_ctx)), self.type_ctx)
         for idx in word:
             g = self.images[abs(idx) - 1]
             acc = acc @ (g if idx > 0 else g.inverse())
@@ -138,8 +139,11 @@ def conjugacy_test_bounded(rep1, rep2, entry_bound, budget=2_000_000):
     """
     if (bound := xm.to_int([[entry_bound]])) is None:
         raise ValueError("entry bound must be an integer")
+    if (cap := xm.to_int([[budget]])) is None:
+        raise ValueError("budget must be an integer")
     if (entry_bound := bound[0][0]) < 0:
         raise ValueError("entry bound must be non-negative")
+    budget = cap[0][0]
     if rep1.type_ctx != rep2.type_ctx or len(rep1.images) != len(rep2.images):
         raise ValueError("representations are not comparable")
     # conjugation invariants give a cheap decisive prefilter

@@ -1,16 +1,18 @@
 """Static timelike reduction: 3d Hodge calculus, the polarized Bogomolny
 residual on Cartesian grids, and theta-coupled electromagnetostatics.
 
-A static product metric -dt^2 + h splits a 4d two-form into a spatial
-1-form part (the dt-wedge factor) and a spatial 2-form part; the 4d Hodge
-star then factors through the 3d star of h, and the 4d lift is evaluated
-through two of them.  Grid3 checks h at every node and factors it once, as
-adjugate over determinant, into read-only arrays; every grid star, sharp and
-divergence reads that h, h^-1 and sqrt(det h).  Every contraction J x (J, R, I)
-is one plane-wise loop, a constant or per-node J alike, summed in np.einsum's order;
-fields, or a per-node J, off the grid's nodes are refused.  Solving is done elsewhere --
-this module only evaluates residuals, with second-order central differences
-and the one-cell boundary layer excluded.
+A static product metric -dt^2 + h splits a 4d two-form into a spatial 1-form part (the
+dt-wedge factor) and a spatial 2-form part; the 4d Hodge star then factors through the 3d
+star of h, and the 4d lift is evaluated through two of them.  Grid3 checks h at every node
+and factors it once, as adjugate over determinant on contiguous planes of nodes (one per
+entry of h), into read-only arrays; every grid star, sharp and divergence reads that h,
+h^-1 and sqrt(det h).  Every contraction J x (J, R, I) is one plane-wise loop, a constant
+or per-node J alike, summed in np.einsum's order; fields, or a per-node J, off the grid's
+nodes are refused.  The residuals write their fields in place, and lift_to_4d fills its
+(2n, 4, 4) slots as whole grid planes in slabs of SLAB nodes, so that a slab's temporaries
+stay in a 2 MiB L2 cache; every field is the whole-array expressions', bit for bit.
+Solving is done elsewhere -- this module only evaluates residuals, with second-order
+central differences and the one-cell boundary layer excluded.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms4d, taming
+
+SLAB = 1536   # grid nodes per slab of lift_to_4d's pointwise stages
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,7 @@ class Grid3:
     origin: tuple = (0.0, 0.0, 0.0)
     metric: np.ndarray = None  # (3,3) constant or per-node (*shape, 3, 3)
 
+    @np.errstate(invalid="ignore")   # inf or NaN in h: refused below, without a warning
     def __post_init__(self):
         put = object.__setattr__
         for name, kind in (("shape", int), ("spacing", float), ("origin", float)):
@@ -40,20 +45,26 @@ class Grid3:
         h = np.asarray(np.eye(3) if self.metric is None else self.metric, dtype=float).view()
         if h.shape not in ((3, 3), self.shape + (3, 3)):
             raise ValueError("metric must be 3x3 or per-node")
-        hT = np.swapaxes(h, -1, -2)
-        (a, b, c), (d, e, f), (g, k, i) = np.moveaxis(h, (-2, -1), (0, 1))
-        adj = np.array([[e * i - f * k, c * k - b * i, b * f - c * e],
-                        [f * g - d * i, a * i - c * g, c * d - a * f],
-                        [d * k - e * g, b * g - a * k, a * e - b * d]])
+        # contiguous entry planes P[r, c] in, the adjugate in one array, divided in place, and out
+        P = np.moveaxis(h, (-2, -1), (0, 1)).copy()
+        (a, b, c), (d, e, f), (g, k, i) = P
+        adj, scratch = np.empty_like(P), np.empty_like(a)
+        for out, (w, x, y, z) in zip(adj.reshape((9, 1) + a.shape), (   # (1,): a constant h too
+                (e, i, f, k), (c, k, b, i), (b, f, c, e), (f, g, d, i), (a, i, c, g),
+                (c, d, a, f), (d, k, e, g), (b, g, a, k), (a, e, b, d))):
+            np.subtract(np.multiply(w, x, out=out), np.multiply(y, z, out=scratch), out=out)
         det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
-        # symmetric as LorentzPoint checks it, and Sylvester's leading minors positive
-        ok = np.all(np.abs(h - hT) <= 1e-10 + 1e-5 * np.abs(hT), axis=(-2, -1))
-        ok &= (a > 0) & (adj[2, 2] > 0) & (det > 0)
+        # Sylvester's leading minors positive, and symmetric as LorentzPoint checks it: a finite
+        # diagonal, and |h - h^T| <= 1e-10 + 1e-5 |h^T| at (r, s) and (s, r), pair by pair
+        ok = (a > 0) & (adj[2, 2] > 0) & (det > 0) & np.isfinite(P[(0, 1, 2), (0, 1, 2)]).all(0)
+        for r, s in ((0, 1), (0, 2), (1, 2)):
+            gap = np.abs(P[r, s] - P[s, r])
+            ok &= (gap <= 1e-10 + 1e-5 * np.abs(P[s, r])) & (gap <= 1e-10 + 1e-5 * np.abs(P[r, s]))
         if not ok.all():
             node = f" at node {tuple(int(x) for x in np.argwhere(~ok)[0])}" if ok.ndim else ""
             raise ValueError(f"metric must be symmetric positive-definite{node}")
-        hinv = np.ascontiguousarray(np.moveaxis(adj / det, (0, 1), (-2, -1)))
-        sqrt_det = np.asarray(np.sqrt(det))
+        adj /= det
+        hinv, sqrt_det = np.moveaxis(adj, (0, 1), (-2, -1)).copy(), np.asarray(np.sqrt(det))
         # the star reads all three together: read-only (metric views the array passed in)
         for name, x in (("metric", h), ("metric_inv", hinv), ("sqrt_det", sqrt_det)):
             x.flags.writeable = False
@@ -65,8 +76,7 @@ class Grid3:
 
     def points(self):
         """Coordinate arrays of shape (*shape, 3)."""
-        X = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(X, axis=-1)
+        return np.stack(np.meshgrid(*self.axes(), indexing="ij", copy=False), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +127,13 @@ def decompose_form(omega):
     reassembles exactly.
     """
     omega = forms4d.as_two_form(omega)
-    top = omega[..., 0, 1:]
-    perp = omega[..., 1:, 1:]
-    return top, perp
+    return omega[..., 0, 1:], omega[..., 1:, 1:]
 
 
 def reassemble_form(top, perp):
     top = np.asarray(top, dtype=float)
-    perp = np.asarray(perp, dtype=float)
     omega = np.zeros(top.shape[:-1] + (4, 4))
-    omega[..., 0, 1:] = top
-    omega[..., 1:, 0] = -top
-    omega[..., 1:, 1:] = perp
+    omega[..., 0, 1:], omega[..., 1:, 0], omega[..., 1:, 1:] = top, -top, perp
     return omega
 
 
@@ -169,17 +174,15 @@ class BogomolnyPair:
 
 
 def grad_nodes(grid, field):
-    """Central-difference coordinate gradient over the grid axes.
-
-    field has shape (*grid.shape, ...); returns (*grid.shape, ..., 3).
-    """
-    parts = [np.gradient(field, grid.spacing[k], axis=k, edge_order=2)
-             for k in range(3)]
-    return np.stack(parts, axis=-1)
+    """Central-difference coordinate gradient over the grid axes: field has shape
+    (*grid.shape, ...); returns (*grid.shape, ..., 3)."""
+    return np.stack([np.gradient(field, grid.spacing[k], axis=k, edge_order=2)
+                     for k in range(3)], axis=-1)
 
 
-def _interior_max(x):
-    return float(np.max(np.abs(x[(slice(1, -1),) * 3])))
+def _interior_max(x):   # max |x| as max(max x, -min x), with no |x| pass; + 0.0: never -0.0
+    x = x[(slice(1, -1),) * 3]
+    return float(max(x.max(), -x.min())) + 0.0
 
 
 def _check_nodes(grid, fields, tamings):
@@ -195,17 +198,15 @@ def bogomolny_residual(grid, J, pair):
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
     _check_nodes(grid, (pair.psi, pair.V), (J,))
-    eq_field = _contract(J, _star(grid, pair.V, 2)) - grad_nodes(grid, pair.psi)
+    eq_field = _contract(J, _star(grid, pair.V, 2))
+    for k in range(3):   # minus grad_nodes(grid, psi), axis by axis in place
+        eq_field[..., k] -= np.gradient(pair.psi, grid.spacing[k], axis=k, edge_order=2)
     # discrete exterior derivative of the 2-form: one 3-form component
-    dV = (np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
-          + np.gradient(pair.V[..., 2, 0], grid.spacing[1], axis=1, edge_order=2)
-          + np.gradient(pair.V[..., 0, 1], grid.spacing[2], axis=2, edge_order=2))
-    return {
-        "eq_residual": _interior_max(eq_field),
-        "closure_residual": _interior_max(dV),
-        "eq_field": eq_field,
-        "closure_field": dV,
-    }
+    dV = np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
+    dV += np.gradient(pair.V[..., 2, 0], grid.spacing[1], axis=1, edge_order=2)
+    dV += np.gradient(pair.V[..., 0, 1], grid.spacing[2], axis=2, edge_order=2)
+    return {"eq_residual": _interior_max(eq_field), "closure_residual": _interior_max(dV),
+            "eq_field": eq_field, "closure_field": dV}
 
 
 def lift_to_4d(pair, grid, J):
@@ -214,10 +215,24 @@ def lift_to_4d(pair, grid, J):
     if not isinstance(pair, BogomolnyPair):
         pair = BogomolnyPair(*pair)
     _check_nodes(grid, (pair.psi, pair.V), (J,))
-    dpsi, V = grad_nodes(grid, pair.psi), pair.V   # J V on all 9 entries of V, as given
-    resid = reassemble_form(_star(grid, V, 2) + _contract(J, dpsi), _contract(
-        J, V.reshape(V.shape[:-2] + (9,))).reshape(V.shape) - _star(grid, dpsi, 1))
-    return {"residual": _interior_max(resid), "residual_field": resid}
+    dpsi, V, n0 = grad_nodes(grid, pair.psi), pair.V, grid.shape[0]
+    planes, worst = np.empty(V.shape[3:-2] + (4, 4) + grid.shape), []   # reassemble_form's slots
+    last = lambda x: np.moveaxis(x, (0, 1, 2), (-3, -2, -1))   # node axes last: whole planes
+    step = -(-n0 // max(1, n0 * grid.shape[1] * grid.shape[2] // SLAB))   # equal slabs of planes
+    for s in (slice(i, i + step) for i in range(0, n0, step)):
+        v, d, r = V[s], dpsi[s], planes[..., s, :, :]
+        h, hinv, vol, Js = (x[s] if x.ndim > 2 else x for x in (
+            grid.metric, grid.metric_inv, grid.sqrt_det, np.asarray(J, dtype=float)))
+        top, left, perp = r[..., 0, 1:, :, :, :], r[..., 1:, 0, :, :, :], r[..., 1:, 1:, :, :, :]
+        r[..., 0, 0, :, :, :] = 0.0
+        np.add(last(forms4d._star(h, hinv, vol, 1.0, v, 2)), last(_contract(Js, d)), out=top)
+        np.negative(top, out=left)
+        np.subtract(last(_contract(Js, v.reshape(v.shape[:-2] + (9,))).reshape(v.shape)),
+                    last(forms4d._star(h, hinv, vol, 1.0, d, 1)), out=perp)   # J V: all 9 of V
+        inner = r[..., max(1 - s.start, 0):n0 - 1 - s.start, 1:-1, 1:-1]   # _interior_max's nodes
+        worst += [inner.max(initial=-np.inf), -inner.min(initial=np.inf)]
+    return {"residual": float(np.max(worst)) + 0.0,
+            "residual_field": np.moveaxis(planes, (-3, -2, -1), (0, 1, 2))}
 
 
 def divergence(grid, X):
@@ -250,18 +265,11 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
     if E.ndim == 4:
         E, B = E[..., None, :], B[..., None, :, :]
 
-    Evec = sharp(grid, E)
-    Bvec = sharp(grid, _star(grid, B, 2))
-    grad_phi_vec = sharp(grid, grad_nodes(grid, Phi))
-    grad_ups_vec = sharp(grid, grad_nodes(grid, Upsilon))
-
-    res1 = Evec + grad_phi_vec
-    res2 = _contract(I, Bvec) + _contract(R, Evec) + grad_ups_vec
-    res3 = divergence(grid, Bvec)
-    res4 = divergence(grid, _contract(R, Bvec) + _contract(I, Evec))
+    Evec, Bvec = sharp(grid, E), sharp(grid, _star(grid, B, 2))
     return {
-        "electric_potential": _interior_max(res1),
-        "magnetic_potential": _interior_max(res2),
-        "magnetic_gauss": _interior_max(res3),
-        "dual_gauss": _interior_max(res4),
+        "electric_potential": _interior_max(Evec + sharp(grid, grad_nodes(grid, Phi))),
+        "magnetic_potential": _interior_max(_contract(I, Bvec) + _contract(R, Evec)
+                                            + sharp(grid, grad_nodes(grid, Upsilon))),
+        "magnetic_gauss": _interior_max(divergence(grid, Bvec)),
+        "dual_gauss": _interior_max(divergence(grid, _contract(R, Bvec) + _contract(I, Evec))),
     }

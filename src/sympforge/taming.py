@@ -20,12 +20,18 @@ ROUNDTRIP_TOL = 1e-9
 @np.errstate(invalid="ignore")     # inf - inf
 def close_to_transpose(x, sign, atol):
     """numpy's allclose(x, sign x^T, atol=atol) on the last two axes: the same acceptance set."""
-    xT = np.swapaxes(x, -1, -2)
-    d = np.add(x, xT) if sign < 0 else np.subtract(x, xT)   # x - (-x^T) bit for bit, inf too
-    if np.abs(d, out=d).max(initial=0.0) <= atol:   # most inputs; within atol implies finite
+    n, xT = x.shape[-1], np.swapaxes(x, -1, -2)
+    if x.size < 4096:   # x - (-x^T) bit for bit, inf too; on few entries |d| in place is cheapest
+        d = np.add(x, xT) if sign < 0 else np.subtract(x, xT)
+        fast = np.abs(d, out=d).max(initial=0.0) <= atol
+    else:   # one BLAS pass, x @ (I - sign T) with T the transpose: x - sign x^T where x is finite,
+        E = np.eye(n * n)   # each entry a sum of two exact terms; inf or NaN spreads as NaN
+        d = x.reshape(-1, n * n) @ (E - sign * E.reshape(n, n, -1).swapaxes(0, 1).reshape(E.shape))
+        fast = d.max(initial=0.0) <= atol and -d.min(initial=0.0) <= atol   # no |d| pass
+    if fast:   # most inputs; within atol implies finite
         return True
     y = sign * xT
-    return bool((((d <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
+    return bool((((np.abs(x - y) <= atol + 1e-5 * np.abs(y)) & np.isfinite(y)) | (x == y)).all())
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sympforge
-from sympforge import dyons, reduction3d, taming
+from sympforge import dyons, forms4d, reduction3d, taming
 from oracles import flux_by_quadrature, psi_by_quad
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -336,6 +336,27 @@ def test_no_constructor_is_bypassed_in_the_library():
                     and isinstance(node.value, ast.Name) and node.value.id == "object"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_sampling_gives_the_whole_array_formulas_bit_for_bit():
+    """The radius is np.linalg.norm's sum (x0^2 + x1^2) + x2^2 taken in whole planes, the
+    profile J v / 2r + v' is formed in component planes and the solid-angle form is one eps
+    product; each gives the bits (signed zeros included) of the whole-array expression."""
+    rng = np.random.default_rng(32)
+    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    sol = dyons.dyon_construct(J, [2.0, -1.0, 0.0, 1.0], rng.standard_normal(4))
+    for shape in ((3,), (1, 3), (7, 3), (5, 6, 4, 3)):
+        X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        X[..., 0] *= rng.integers(0, 2, shape[:-1])            # zero coordinates too
+        for x in (X, np.asfortranarray(X), -0.0 * X):
+            r = np.linalg.norm(x, axis=-1)
+            assert dyons._radius(x).tobytes() == r.tobytes()
+            with np.errstate(all="ignore"):
+                sigma = forms4d.hodge_star(np.eye(3), x / r[..., None] ** 3, 1)
+                assert dyons.solid_angle_form(x).tobytes() == sigma.tobytes()
+            if np.all(r > 0):
+                assert sol.psi(r).tobytes() == (J @ sol.v / (2.0 * r[..., None])
+                                                + sol.v_prime).tobytes()
 
 
 def test_sample_pair_is_a_valid_bogomolny_pair():

@@ -171,6 +171,31 @@ def test_conjugacy_budget_guard():
         monodromy.conjugacy_test_bounded(rep1, rep2, 50, budget=100)
 
 
+@pytest.mark.parametrize("budget", [None, 1.5, "7"])
+def test_conjugacy_budget_is_read_as_an_integer(budget):
+    # the budget goes through exactmat's integrality rule, like the entry bound:
+    # 2.0 reads as 2, and anything that is not an integer is refused up front
+    rep1, rep2 = make_rep([[[1, 1], [0, 1]]]), make_rep([[[1, -1], [0, 1]]])
+    with pytest.raises(monodromy.BoundTooLargeForBudget):
+        monodromy.conjugacy_test_bounded(rep1, rep2, 1, budget=2.0)
+    assert monodromy.conjugacy_test_bounded(rep1, rep2, 1, budget=3.0) == \
+        monodromy.conjugacy_test_bounded(rep1, rep2, 1, budget=3)
+    with pytest.raises(ValueError, match="^budget must be an integer$"):
+        monodromy.conjugacy_test_bounded(rep1, rep2, 1, budget=budget)
+
+
+def test_representation_without_images_evaluates_to_the_identity():
+    # no generator: the empty word is the identity of the type's dimension, as
+    # the conjugacy search of two empty representations already assumes
+    for t in ((1,), (1, 2)):
+        rep = make_rep([], t)
+        assert rep.images == ()
+        assert rep.evaluate(()).is_identity()
+        assert len(rep.evaluate(()).matrix) == 2 * len(t)
+        with pytest.raises(ValueError, match="generator count"):
+            monodromy.validate_representation(monodromy.Presentation.make(1, []), rep)
+
+
 def test_validation_is_conjugation_invariant():
     rng = random.Random(3)
     pres = monodromy.Presentation.make(2, [(1, 2, -1, -2)])

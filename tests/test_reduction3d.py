@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,13 +282,30 @@ def test_grid_consumers_match_lapack_oracles():
             assert abs(em[key] - val) < 1e-12 * val
 
 
+# a non-finite entry (a symmetric pair off the diagonal), in a constant metric or at node (1, 0, 2)
+NON_FINITE = {f"{kind}_{name}_{place}": (value, entry, kind == "const")
+              for kind in ("node", "const")
+              for name, value in (("inf", np.inf), ("minus_inf", -np.inf), ("nan", np.nan))
+              for place, entry in (("diagonal", (1, 1)), ("off_diagonal", (0, 2)))}
+
+
 @pytest.mark.parametrize("fault,where", [("negative", " at node (2, 1, 0)"),
                                          ("zero", " at node (0, 2, 1)"),
-                                         ("not_symmetric", ""), ("nan", " at node (1, 1, 1)")],
-                         ids=["negative", "zero", "not_symmetric", "nan"])
+                                         ("not_symmetric", ""), ("nan", " at node (1, 1, 1)")]
+                         + [(name, "" if const else " at node (1, 0, 2)")
+                            for name, (_, _, const) in NON_FINITE.items()],
+                         ids=["negative", "zero", "not_symmetric", "nan"] + list(NON_FINITE))
 def test_grid_rejects_metric_at_any_node(fault, where):
+    """Refused with the first failing node and no warning before the ValueError
+    (inf * 0 and inf - inf in the factorization are not reported)."""
     metric = np.broadcast_to(np.eye(3), (3, 3, 3, 3, 3)).copy()
-    if fault == "negative":
+    if fault in NON_FINITE:
+        value, (a, b), const = NON_FINITE[fault]
+        if const:
+            metric = np.eye(3)
+        node = metric if const else metric[1, 0, 2]
+        node[a, b] = node[b, a] = value
+    elif fault == "negative":
         metric[2, 1, 0] = np.diag([1.0, 1.0, -1.0])
     elif fault == "zero":
         metric[0, 2, 1] = 0.0
@@ -299,6 +318,68 @@ def test_grid_rejects_metric_at_any_node(fault, where):
         with pytest.raises(ValueError) as err:
             reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.1,) * 3, metric=metric)
     assert str(err.value) == f"metric must be symmetric positive-definite{where}"
+
+
+def test_zero_residuals_read_positive_zero():
+    """A zero residual is +0.0, never -0.0 (the CLI prints it), for a zero pair and
+    for fields of -0.0 alike: the interior maxima reduce as max(max x, -min x)."""
+    for metric in (None, np.diag([1.0, 2.0, 0.5])):
+        grid = reduction3d.Grid3(shape=(5, 5, 5), spacing=(0.1,) * 3, metric=metric)
+        for zero in (0.0, -0.0):
+            psi, V = np.full(grid.shape + (2,), zero), np.full(grid.shape + (2, 3, 3), zero)
+            E, B, Phi = np.full(grid.shape + (3,), zero), V[..., 0, :, :], psi[..., 0]
+            bog = reduction3d.bogomolny_residual(grid, STD_J, (psi, V))
+            values = [bog["eq_residual"], bog["closure_residual"],
+                      reduction3d.lift_to_4d((psi, V), grid, STD_J)["residual"],
+                      *reduction3d.em_static_residual(grid, [[0.0]], [[1.0]], E, B,
+                                                      Phi, Phi).values()]
+            assert len(values) == 7
+            assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in values), values
+
+
+def test_lift_allocates_little_beyond_its_result():
+    """lift_to_4d works in slabs of grid planes: on a 17^3 per-node grid with 2n = 4 its
+    traced peak, less the residual field it returns, stays within 1.25 V.nbytes (whole-grid
+    temporaries read 2.0 V.nbytes)."""
+    rng = np.random.default_rng(22)
+    shape = (17, 17, 17)
+    grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric_field(rng, shape))
+    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    A = rng.standard_normal(shape + (4, 3, 3))
+    pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (4,)),
+                                     A - np.swapaxes(A, -1, -2))
+    reduction3d.lift_to_4d(pair, grid, J)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = reduction3d.lift_to_4d(pair, grid, J)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out["residual_field"].nbytes <= 1.25 * pair.V.nbytes
+
+
+@pytest.mark.parametrize("slab", [1, 40, 10 ** 9], ids=["plane", "planes", "grid"])
+def test_lift_is_the_same_in_any_slabs(slab, monkeypatch):
+    """The lift's field and interior maximum do not depend on the slab size: one plane
+    per slab (the first and last slabs hold no interior node) up to the whole grid."""
+    rng = np.random.default_rng(23)
+    shape = (6, 5, 4)
+    P = taming.random_period_matrix(2, rng)
+    A = rng.standard_normal(shape + (4, 3, 3))
+    pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (4,)),
+                                     A - np.swapaxes(A, -1, -2))
+    grid = reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.15),
+                             metric=metric_field(rng, shape))
+    for J in (taming.theta_forward(P), taming.theta_forward(P) + 0.1 * rng.standard_normal(
+            shape + (4, 4))):
+        expect = reduction3d.lift_to_4d(pair, grid, J)
+        with monkeypatch.context() as m:
+            m.setattr(reduction3d, "SLAB", slab)
+            got = reduction3d.lift_to_4d(pair, grid, J)
+        assert np.array_equal(got["residual_field"], expect["residual_field"])
+        assert got["residual"] == expect["residual"] == reduction3d._interior_max(
+            expect["residual_field"])
 
 
 def test_grid_symmetry_tolerance_is_lorentz_points():
@@ -389,6 +470,24 @@ def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
             assert accepted == parent, (k, V)
             answers.add(parent)
         assert answers == {True, False}
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_transpose_predicate_on_large_arrays_keeps_allclose_acceptance(sign):
+    """From 4096 entries up, close_to_transpose forms x - sign x^T by one BLAS product
+    with a 0/1 matrix (each entry one exact sum where x is finite); the acceptance set is
+    still np.allclose's, across the atol edge and with non-finite entries."""
+    rng = np.random.default_rng(24 + sign)
+    answers = set()
+    for shape, n in (((30, 20), 3), ((16, 20), 4)):
+        for atol in (1e-12, 1e-10):
+            for V in transpose_edge_cases(rng, shape, n, sign, atol)[:-1]:
+                assert V.size >= 4096
+                with np.errstate(all="ignore"):
+                    expect = bool(np.allclose(V, sign * np.swapaxes(V, -1, -2), atol=atol))
+                    assert taming.close_to_transpose(V, sign, atol) == expect, (shape, atol)
+                answers.add(expect)
+    assert answers == {True, False}
 
 
 def test_euclidean_eq_field_is_the_oracles_bit_for_bit():
