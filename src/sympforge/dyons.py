@@ -139,7 +139,8 @@ def dyon_verify(sol, radii):
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     c = sol.curvature_coeff()
-    eq_res = integ_res = 0.0
+    eq_res = 0.0
+    integ_res = 0.0
     for r in radii:
         rhs = -r**2 * (sol.J_at(r) @ sol.dpsi_dr(r))
         eq_res = max(eq_res, float(np.max(np.abs(c - rhs))))
@@ -181,7 +182,8 @@ def flux_quantization(sol):
 
 def default_far_grid(nodes=9):
     """Small Euclidean grid, spacing 0.01, well away from the puncture at the origin."""
-    return reduction3d.Grid3(shape=(nodes,) * 3, spacing=(0.01,) * 3, origin=(2.0,) * 3)
+    return reduction3d.Grid3(shape=(nodes,) * 3, spacing=(0.01,) * 3,
+                             origin=(2.0,) * 3)
 
 
 def electrodynamics_dyon(theta, g_sq, q_e, q_m, grid=None):

@@ -45,14 +45,11 @@ class Grid3:
         h = np.asarray(np.eye(3) if self.metric is None else self.metric, dtype=float).view()
         if h.shape not in ((3, 3), self.shape + (3, 3)):
             raise ValueError("metric must be 3x3 or per-node")
-        # contiguous entry planes P[r, c] in, the adjugate in one array, divided in place, and out
-        P = np.moveaxis(h, (-2, -1), (0, 1)).copy()
+        P = np.moveaxis(h, (-2, -1), (0, 1)).copy()   # contiguous entry planes P[r, c]
         (a, b, c), (d, e, f), (g, k, i) = P
-        adj, scratch = np.empty_like(P), np.empty_like(a)
-        for out, (w, x, y, z) in zip(adj.reshape((9, 1) + a.shape), (   # (1,): a constant h too
-                (e, i, f, k), (c, k, b, i), (b, f, c, e), (f, g, d, i), (a, i, c, g),
-                (c, d, a, f), (d, k, e, g), (b, g, a, k), (a, e, b, d))):
-            np.subtract(np.multiply(w, x, out=out), np.multiply(y, z, out=scratch), out=out)
+        adj = np.array([[e * i - f * k, c * k - b * i, b * f - c * e],
+                        [f * g - d * i, a * i - c * g, c * d - a * f],
+                        [d * k - e * g, b * g - a * k, a * e - b * d]])
         det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
         # Sylvester's leading minors positive, and symmetric as LorentzPoint checks it: a finite
         # diagonal, and |h - h^T| <= 1e-10 + 1e-5 |h^T| at (r, s) and (s, r), pair by pair
@@ -63,8 +60,8 @@ class Grid3:
         if not ok.all():
             node = f" at node {tuple(int(x) for x in np.argwhere(~ok)[0])}" if ok.ndim else ""
             raise ValueError(f"metric must be symmetric positive-definite{node}")
-        adj /= det
-        hinv, sqrt_det = np.moveaxis(adj, (0, 1), (-2, -1)).copy(), np.asarray(np.sqrt(det))
+        hinv = np.ascontiguousarray(np.moveaxis(np.divide(adj, det, out=adj), (0, 1), (-2, -1)))
+        sqrt_det = np.asarray(np.sqrt(det))
         # the star reads all three together: read-only (metric views the array passed in)
         for name, x in (("metric", h), ("metric_inv", hinv), ("sqrt_det", sqrt_det)):
             x.flags.writeable = False
@@ -76,7 +73,8 @@ class Grid3:
 
     def points(self):
         """Coordinate arrays of shape (*shape, 3)."""
-        return np.stack(np.meshgrid(*self.axes(), indexing="ij", copy=False), axis=-1)
+        X = np.meshgrid(*self.axes(), indexing="ij", copy=False)   # views: stack copies once
+        return np.stack(X, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +125,18 @@ def decompose_form(omega):
     reassembles exactly.
     """
     omega = forms4d.as_two_form(omega)
-    return omega[..., 0, 1:], omega[..., 1:, 1:]
+    top = omega[..., 0, 1:]
+    perp = omega[..., 1:, 1:]
+    return top, perp
 
 
 def reassemble_form(top, perp):
     top = np.asarray(top, dtype=float)
+    perp = np.asarray(perp, dtype=float)
     omega = np.zeros(top.shape[:-1] + (4, 4))
-    omega[..., 0, 1:], omega[..., 1:, 0], omega[..., 1:, 1:] = top, -top, perp
+    omega[..., 0, 1:] = top
+    omega[..., 1:, 0] = -top
+    omega[..., 1:, 1:] = perp
     return omega
 
 
@@ -174,10 +177,13 @@ class BogomolnyPair:
 
 
 def grad_nodes(grid, field):
-    """Central-difference coordinate gradient over the grid axes: field has shape
-    (*grid.shape, ...); returns (*grid.shape, ..., 3)."""
-    return np.stack([np.gradient(field, grid.spacing[k], axis=k, edge_order=2)
-                     for k in range(3)], axis=-1)
+    """Central-difference coordinate gradient over the grid axes.
+
+    field has shape (*grid.shape, ...); returns (*grid.shape, ..., 3).
+    """
+    parts = [np.gradient(field, grid.spacing[k], axis=k, edge_order=2)
+             for k in range(3)]
+    return np.stack(parts, axis=-1)
 
 
 def _interior_max(x):   # max |x| as max(max x, -min x), with no |x| pass; + 0.0: never -0.0
@@ -205,8 +211,12 @@ def bogomolny_residual(grid, J, pair):
     dV = np.gradient(pair.V[..., 1, 2], grid.spacing[0], axis=0, edge_order=2)
     dV += np.gradient(pair.V[..., 2, 0], grid.spacing[1], axis=1, edge_order=2)
     dV += np.gradient(pair.V[..., 0, 1], grid.spacing[2], axis=2, edge_order=2)
-    return {"eq_residual": _interior_max(eq_field), "closure_residual": _interior_max(dV),
-            "eq_field": eq_field, "closure_field": dV}
+    return {
+        "eq_residual": _interior_max(eq_field),
+        "closure_residual": _interior_max(dV),
+        "eq_field": eq_field,
+        "closure_field": dV,
+    }
 
 
 def lift_to_4d(pair, grid, J):
@@ -265,11 +275,18 @@ def em_static_residual(grid, R, I, E, B, Phi, Upsilon):
     if E.ndim == 4:
         E, B = E[..., None, :], B[..., None, :, :]
 
-    Evec, Bvec = sharp(grid, E), sharp(grid, _star(grid, B, 2))
+    Evec = sharp(grid, E)
+    Bvec = sharp(grid, _star(grid, B, 2))
+    grad_phi_vec = sharp(grid, grad_nodes(grid, Phi))
+    grad_ups_vec = sharp(grid, grad_nodes(grid, Upsilon))
+
+    res1 = Evec + grad_phi_vec
+    res2 = _contract(I, Bvec) + _contract(R, Evec) + grad_ups_vec
+    res3 = divergence(grid, Bvec)
+    res4 = divergence(grid, _contract(R, Bvec) + _contract(I, Evec))
     return {
-        "electric_potential": _interior_max(Evec + sharp(grid, grad_nodes(grid, Phi))),
-        "magnetic_potential": _interior_max(_contract(I, Bvec) + _contract(R, Evec)
-                                            + sharp(grid, grad_nodes(grid, Upsilon))),
-        "magnetic_gauss": _interior_max(divergence(grid, Bvec)),
-        "dual_gauss": _interior_max(divergence(grid, _contract(R, Bvec) + _contract(I, Evec))),
+        "electric_potential": _interior_max(res1),
+        "magnetic_potential": _interior_max(res2),
+        "magnetic_gauss": _interior_max(res3),
+        "dual_gauss": _interior_max(res4),
     }

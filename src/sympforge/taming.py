@@ -21,11 +21,11 @@ ROUNDTRIP_TOL = 1e-9
 def close_to_transpose(x, sign, atol):
     """numpy's allclose(x, sign x^T, atol=atol) on the last two axes: the same acceptance set."""
     n, xT = x.shape[-1], np.swapaxes(x, -1, -2)
-    if x.size < 4096:   # x - (-x^T) bit for bit, inf too; on few entries |d| in place is cheapest
+    if n > 4 or x.size < 4096:   # x - (-x^T) bit for bit, inf too; |d| in place, one copy of x
         d = np.add(x, xT) if sign < 0 else np.subtract(x, xT)
         fast = np.abs(d, out=d).max(initial=0.0) <= atol
-    else:   # one BLAS pass, x @ (I - sign T) with T the transpose: x - sign x^T where x is finite,
-        E = np.eye(n * n)   # each entry a sum of two exact terms; inf or NaN spreads as NaN
+    else:   # many matrices of n <= 4: one BLAS pass x @ (I - sign T), T transposing n x n blocks;
+        E = np.eye(n * n)   # each entry of d is a sum of two exact terms, NaN where x is not finite
         d = x.reshape(-1, n * n) @ (E - sign * E.reshape(n, n, -1).swapaxes(0, 1).reshape(E.shape))
         fast = d.max(initial=0.0) <= atol and -d.min(initial=0.0) <= atol   # no |d| pass
     if fast:   # most inputs; within atol implies finite

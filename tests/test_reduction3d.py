@@ -474,9 +474,10 @@ def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_transpose_predicate_on_large_arrays_keeps_allclose_acceptance(sign):
-    """From 4096 entries up, close_to_transpose forms x - sign x^T by one BLAS product
-    with a 0/1 matrix (each entry one exact sum where x is finite); the acceptance set is
-    still np.allclose's, across the atol edge and with non-finite entries."""
+    """From 4096 entries up, on matrices of at most 4 x 4, close_to_transpose forms
+    x - sign x^T by one BLAS product with a 0/1 matrix (each entry one exact sum where x is
+    finite); the acceptance set is still np.allclose's, across the atol edge and with
+    non-finite entries."""
     rng = np.random.default_rng(24 + sign)
     answers = set()
     for shape, n in (((30, 20), 3), ((16, 20), 4)):

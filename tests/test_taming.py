@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,29 @@ def test_theta_inverse_rejects_non_taming():
 def test_period_matrix_requires_positive_definite_imaginary_part():
     with pytest.raises(ValueError):
         taming.PeriodMatrix([[0.0]], [[-1.0]])
+
+
+def test_large_period_matrix_is_checked_in_memory_linear_in_its_entries():
+    """A 64 x 64 period matrix, as taming forward may read it from JSON, is accepted, and
+    one with an asymmetric R refused, within a few copies of R: the symmetry test's BLAS
+    form, with its (n^2, n^2) operator, is kept to stacks of matrices of at most 4 x 4."""
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((64, 64))
+    R, I = A + A.T, A @ A.T + 64 * np.eye(64)
+    skew = R.copy()
+    skew[0, 1] += 1.0
+    for R_in, refused in ((R, False), (skew, True)):
+        tracemalloc.start()
+        try:
+            if refused:
+                with pytest.raises(ValueError, match="R must be symmetric"):
+                    taming.PeriodMatrix(R_in, I)
+            else:
+                taming.PeriodMatrix(R_in, I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * R.nbytes, (refused, peak)
 
 
 def test_one_transpose_tolerance_predicate_in_the_library():
