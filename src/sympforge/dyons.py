@@ -3,8 +3,8 @@
 For a constant taming J the radial Higgs field is psi(r) = J v / (2r) + v'
 and the curvature two-form is c = -(1/2) v times the solid-angle form sigma,
 so the flux through any sphere around the puncture is c times the solid angle
-4 pi, -2 pi v.  The charge vector v must lie in the integer lattice for the
-solution to come from an honest principal connection; flux_quantization
+4 pi, -2 pi v.  The charge vector v must lie in the charge lattice of the type
+for the solution to come from an honest principal connection; flux_quantization
 checks that on this closed form (the tests check it against a quadrature of sigma).
 """
 
@@ -157,19 +157,19 @@ class FluxReport:
     normalized: np.ndarray
     lattice_member: bool
     realized_sign: int
-    chern: np.ndarray
 
 
 def flux_quantization(sol):
-    """Flux of the curvature c sigma through the unit sphere in closed form: c times
-    the solid angle 4 pi, that is -2 pi v.  Membership is tested for both signs of
-    flux / 2 pi (the orientation of the sphere is a convention) against Z^{2n}.
+    """Flux of the curvature c sigma through the unit sphere in closed form, c times the solid
+    angle 4 pi: -2 pi v.  flux / 2 pi, of either sign, is a member of the type's charge lattice
+    Gamma_t Z^{2n} = Z^n + D_t Z^n (siegel's Gamma_t = diag(I, D_t)) if t_i divides entry n + i.
     """
     flux = sol.curvature_coeff() * (4 * np.pi) + 0.0   # 0.0, not -0.0, at v_j = 0
     if not np.all(np.isfinite(flux)):   # |v| near the float maximum overflows
         raise ValueError("non-finite flux")
     normalized = flux / (2 * np.pi)
-    member = bool(np.max(np.abs(normalized - np.round(normalized))) < 1e-8)
+    step = np.concatenate([np.ones(len(sol.type_ctx)), sol.type_ctx])   # the lattice's axes
+    member = bool(np.max(np.abs(normalized - step * np.round(normalized / step))) < 1e-8)
     if np.max(np.abs(normalized + sol.v)) < 1e-8:
         realized = -1
     elif np.max(np.abs(normalized - sol.v)) < 1e-8:
@@ -177,7 +177,7 @@ def flux_quantization(sol):
     else:
         realized = 0
     return FluxReport(flux=flux, normalized=normalized, lattice_member=member,
-                      realized_sign=realized, chern=0.5 * sol.v)
+                      realized_sign=realized)
 
 
 def default_far_grid(nodes=9):

@@ -183,17 +183,3 @@ def duality_act(gamma, V):
         raise ValueError("gamma size does not match form rank")
     return np.einsum("jk,kab->jab", gamma, V)
 
-
-def random_metric(rng):
-    """Random well-conditioned signature-(3,1) metric."""
-    while True:
-        A = rng.standard_normal((4, 4))
-        if np.linalg.cond(A) <= 20.0:
-            break
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    return LorentzPoint(A.T @ eta @ A, orientation=1 if rng.random() < 0.5 else -1)
-
-
-def random_two_form(rng, rank):
-    A = rng.standard_normal((rank, 4, 4))
-    return A - np.swapaxes(A, -1, -2)

@@ -31,7 +31,7 @@ class Grid3:
     origin: tuple = (0.0, 0.0, 0.0)
     metric: np.ndarray = None  # (3,3) constant or per-node (*shape, 3, 3)
 
-    @np.errstate(invalid="ignore")   # inf or NaN in h: refused below, without a warning
+    @np.errstate(invalid="ignore", over="ignore")   # inf, NaN or overflow: refused, no warning
     def __post_init__(self):
         put = object.__setattr__
         for name, kind in (("shape", int), ("spacing", float), ("origin", float)):
@@ -45,23 +45,30 @@ class Grid3:
         h = np.asarray(np.eye(3) if self.metric is None else self.metric, dtype=float).view()
         if h.shape not in ((3, 3), self.shape + (3, 3)):
             raise ValueError("metric must be 3x3 or per-node")
-        P = np.moveaxis(h, (-2, -1), (0, 1)).copy()   # contiguous entry planes P[r, c]
+        # contiguous planes P[r, c] of s h, s = 4^-q exact: its top diagonal entry (top |entry| if
+        # h > 0) in [1/2, 2); then h^-1 = adj / (det / s) and sqrt det h = sqrt(det) s^-3/2
+        q = np.frexp(top)[1] // 2 if 0 < (top := np.diagonal(h, 0, -2, -1).max()) < np.inf else 0
+        P = np.ldexp(np.moveaxis(h, (-2, -1), (0, 1)), -2 * q, order="C")
         (a, b, c), (d, e, f), (g, k, i) = P
         adj = np.array([[e * i - f * k, c * k - b * i, b * f - c * e],
                         [f * g - d * i, a * i - c * g, c * d - a * f],
                         [d * k - e * g, b * g - a * k, a * e - b * d]])
         det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
         # Sylvester's leading minors positive, and symmetric as LorentzPoint checks it: a finite
-        # diagonal, and |h - h^T| <= 1e-10 + 1e-5 |h^T| at (r, s) and (s, r), pair by pair
+        # diagonal, and |h - h^T| <= 1e-10 + 1e-5 |h^T| at (r, s) and (s, r), pair by pair (on s h)
         ok = (a > 0) & (adj[2, 2] > 0) & (det > 0) & np.isfinite(P[(0, 1, 2), (0, 1, 2)]).all(0)
+        tol = np.ldexp(1e-10, -2 * q)
         for r, s in ((0, 1), (0, 2), (1, 2)):
             gap = np.abs(P[r, s] - P[s, r])
-            ok &= (gap <= 1e-10 + 1e-5 * np.abs(P[s, r])) & (gap <= 1e-10 + 1e-5 * np.abs(P[r, s]))
+            ok &= (gap <= tol + 1e-5 * np.abs(P[s, r])) & (gap <= tol + 1e-5 * np.abs(P[r, s]))
         if not ok.all():
             node = f" at node {tuple(int(x) for x in np.argwhere(~ok)[0])}" if ok.ndim else ""
             raise ValueError(f"metric must be symmetric positive-definite{node}")
+        sqrt_det = np.asarray(np.ldexp(np.sqrt(det), 3 * q))
+        det = np.ldexp(det, 2 * q)   # det / s: adj of s h is at most 8, so adj / det is finite
+        if not ((0 < sqrt_det) & (sqrt_det < np.inf) & (det > 8 / np.finfo(float).max)).all():
+            raise ValueError("metric out of range: h^-1 or sqrt det h is not a finite float")
         hinv = np.ascontiguousarray(np.moveaxis(np.divide(adj, det, out=adj), (0, 1), (-2, -1)))
-        sqrt_det = np.asarray(np.sqrt(det))
         # the star reads all three together: read-only (metric views the array passed in)
         for name, x in (("metric", h), ("metric_inv", hinv), ("sqrt_det", sqrt_det)):
             x.flags.writeable = False

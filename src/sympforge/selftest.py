@@ -4,13 +4,14 @@ subcommand.
 SUITES maps each suite to (stream constructor, [(count, case), ...]).  A
 case draws one sample from its suite's stream and returns named booleans;
 run() calls every case count times, in order, on one stream per suite and
-ANDs the booleans by name.  The counts keep the whole run in seconds.  The
-integer generators are public: the tests draw from the same ones.
+ANDs the booleans by name.  The counts keep the whole run in seconds.  Every
+random generator of the package lives here, and the tests draw from the same ones.
 """
 
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -46,6 +47,61 @@ def random_chain(rng, n):
     return tuple(t)
 
 
+def random_member(t, rng, word_length):
+    """A word of word_length type-t generators, each inverted (-B, -Omega) with probability 1/2, on
+    ints and checked once: [[I, B], [0, I]] and [[I, 0], [B, I]] of B = E_ii, [[I, B], [0, I]] of
+    B = (t_j E_ij + t_i E_ji) / gcd(t_i, t_j) for i < j, and Omega if the type is constant."""
+    n = len(t)
+    letters = [{pos: 1} for i in range(n) for pos in ((i, n + i), (n + i, i))]
+    letters += [{(i, n + j): t[j] // gcd(t[i], t[j]), (j, n + i): t[i] // gcd(t[i], t[j])}
+                for i in range(n) for j in range(i + 1, n)]
+    S = xm.identity(2 * n)
+    for _ in range(word_length):
+        k = rng.randrange(len(letters) + (len(set(t)) == 1))
+        sign = -1 if rng.random() < 0.5 else 1
+        if k == len(letters):
+            letter = [[sign * x for x in row] for row in sl.standard_gram(sl.delta(n))]
+        else:
+            letter = xm.identity(2 * n)
+            for (r, c), x in letters[k].items():
+                letter[r][c] = sign * x
+        S = xm.matmul(S, letter)
+    return siegel.SiegelElement.make(S, t)
+
+
+def random_period_matrix(n, rng):
+    """Well-conditioned random period matrix for property sweeps."""
+    A = rng.standard_normal((n, n))
+    R = 0.5 * (A + A.T)
+    B = rng.standard_normal((n, n)) * 0.3
+    I = np.eye(n) + B @ B.T
+    return taming.PeriodMatrix(R, I)
+
+
+def random_symplectic(n, rng):
+    """Well-conditioned random element of Sp(2n, R) near the identity, for tolerance-based
+    tests: the Cayley transform (I - H)^-1 (I + H) of H = W S / 2, S symmetric."""
+    W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
+    S = rng.standard_normal((2 * n, 2 * n))
+    H = 0.5 * W @ (0.5 * (S + S.T) * 0.4)
+    return np.linalg.solve(np.eye(2 * n) - H, np.eye(2 * n) + H)
+
+
+def random_metric(rng):
+    """Random well-conditioned signature-(3,1) metric."""
+    while True:
+        A = rng.standard_normal((4, 4))
+        if np.linalg.cond(A) <= 20.0:
+            break
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    return forms4d.LorentzPoint(A.T @ eta @ A, orientation=1 if rng.random() < 0.5 else -1)
+
+
+def random_two_form(rng, rank):
+    A = rng.standard_normal((rank, 4, 4))
+    return A - np.swapaxes(A, -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # cases: each draws one sample (or none) and returns {result name: bool}
 
@@ -76,8 +132,8 @@ def _type_roundtrip(rng):
 
 def _closure(rng):
     t = rng.choice([(1,), (2,), (1, 2), (2, 4)])
-    a = siegel.random_member(t, rng)
-    b = siegel.random_member(t, rng)
+    a = random_member(t, rng, word_length=6)
+    b = random_member(t, rng, word_length=6)
     return {"membership_closure": siegel.is_member((a @ b).rows(), t)
             and siegel.is_member(a.inverse().rows(), t)}
 
@@ -86,7 +142,7 @@ def _affine(rng):
     t = (rng.randint(1, 3),)
     gs = []
     for _ in range(3):
-        rot = siegel.random_member(t, rng, word_length=3)
+        rot = random_member(t, rng, word_length=3)
         gs.append(siegel.AffElement.make([Fraction(rng.randint(0, 7), 8) for _ in range(2)], rot))
     g1, g2, g3 = gs
     compose, adjoint = siegel.aff_compose, siegel.aff_adjoint
@@ -97,9 +153,9 @@ def _affine(rng):
 
 def _taming(rng):
     n = int(rng.integers(1, 5))
-    N = taming.random_period_matrix(n, rng)
+    N = random_period_matrix(n, rng)
     J = taming.theta_forward(N)
-    g = taming.random_symplectic(n, rng)
+    g = random_symplectic(n, rng)
     N2 = taming.theta_inverse(J)
     return {"theta_roundtrip": np.max(np.abs(N2.R - N.R)) < taming.ROUNDTRIP_TOL
             and np.max(np.abs(N2.I - N.I)) < taming.ROUNDTRIP_TOL,
@@ -109,12 +165,12 @@ def _taming(rng):
 
 
 def _forms4d(rng):
-    p = forms4d.random_metric(rng)
+    p = random_metric(rng)
     n = int(rng.integers(1, 3))
-    F = forms4d.random_two_form(rng, n)
-    N = taming.random_period_matrix(n, rng)
-    W = forms4d.random_two_form(rng, 2 * n)
-    g = taming.random_symplectic(n, rng)
+    F = random_two_form(rng, n)
+    N = random_period_matrix(n, rng)
+    W = random_two_form(rng, 2 * n)
+    g = random_symplectic(n, rng)
     J = taming.theta_forward(N)
     V = np.concatenate([F, forms4d.g_map(p, N, F)])
     ok, Fx, _ = forms4d.check_polarized_selfdual(p, N, V)
@@ -135,7 +191,7 @@ def _static_split(rng):
     g = np.zeros((4, 4))
     g[0, 0] = -1.0
     g[1:, 1:] = np.eye(3) + A @ A.T
-    w = forms4d.random_two_form(rng, int(rng.integers(1, 4)))
+    w = random_two_form(rng, int(rng.integers(1, 4)))
     top, perp = reduction3d.decompose_form(w)
     return {"decompose_reassemble":
                 np.max(np.abs(reduction3d.reassemble_form(top, perp) - w)) == 0.0,
@@ -155,7 +211,7 @@ def _dyon_on_grid(rng):
 
 def _dyon(rng):
     n = int(rng.integers(1, 3))
-    J = taming.theta_forward(taming.random_period_matrix(n, rng))
+    J = taming.theta_forward(random_period_matrix(n, rng))
     v = rng.integers(-3, 4, size=2 * n).astype(float)
     sol = dyons.dyon_construct(J, v, rng.standard_normal(2 * n))
     rep = dyons.dyon_verify(sol, [0.1, 1.0, 10.0])
@@ -176,8 +232,8 @@ def _electrodynamics(rng):
 
 def _conjugation(rng):
     t = (1,)
-    a = siegel.random_member(t, rng, word_length=3)
-    gamma = siegel.random_member(t, rng, word_length=3)
+    a = random_member(t, rng, word_length=3)
+    gamma = random_member(t, rng, word_length=3)
     pres = monodromy.Presentation.make(2, [(1, 2, -1, -2)])
     rep = monodromy.Representation((a, a), t)
     return {"conjugation_invariance": monodromy.validate_representation(pres, rep)

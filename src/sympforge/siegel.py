@@ -218,51 +218,3 @@ def isogeny_kernel(t, t2):
         raise ValueError(f"{t} does not divide {t2} componentwise")
     return tuple(b // a for a, b in zip(t, t2))
 
-
-# ---------------------------------------------------------------------------
-# generator sampling, used by the self-test suites
-
-def generators(t):
-    """A finite generating-ish set of type-t members for random sampling."""
-    t = sl.validate_type(t)
-    n = len(t)
-    gens = []
-    for i in range(n):
-        # the upper and lower unipotents of E_ii
-        B = xm.zeros(n, n)
-        B[i][i] = 1
-        gens += [_embed(B, t, True), _embed(B, t, False)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = gcd(t[i], t[j])
-            B = xm.zeros(n, n)
-            B[i][j] = t[j] // g
-            B[j][i] = t[i] // g
-            gens.append(_embed(B, t, True))
-    # the symplectic reflection e_i -> -f_i-ish block rotation, principal only
-    if all(x == t[0] for x in t):
-        gens.append(SiegelElement.make(sl.standard_gram(sl.delta(n)), t))
-    return gens
-
-
-def _embed(M, t, upper):
-    """The unipotent [[I, M], [0, I]] if upper, else [[I, 0], [M, I]]."""
-    n = len(M)
-    r, c = (0, n) if upper else (n, 0)
-    S = xm.identity(2 * n)
-    for i in range(n):
-        for j in range(n):
-            S[r + i][c + j] = M[i][j]
-    return SiegelElement.make(S, t)
-
-
-def random_member(t, rng, word_length=6):
-    """Random word in the generator set (and inverses)."""
-    gens = generators(t)
-    g = SiegelElement.make(xm.identity(2 * len(t)), t)
-    for _ in range(word_length):
-        pick = gens[rng.randrange(len(gens))]
-        if rng.random() < 0.5:
-            pick = pick.inverse()
-        g = g @ pick
-    return g

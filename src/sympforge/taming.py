@@ -154,20 +154,3 @@ def electrodynamics_period(theta, g_sq):
     return PeriodMatrix(np.array([[theta / (2 * np.pi)]]),
                         np.array([[4 * np.pi / g_sq]]))
 
-
-def random_period_matrix(n, rng):
-    """Well-conditioned random period matrix for property sweeps."""
-    A = rng.standard_normal((n, n))
-    R = 0.5 * (A + A.T)
-    B = rng.standard_normal((n, n)) * 0.3
-    I = np.eye(n) + B @ B.T
-    return PeriodMatrix(R, I)
-
-
-def random_symplectic(n, rng):
-    """Well-conditioned random element of Sp(2n, R) near the identity, for tolerance-based
-    tests: the Cayley transform (I - H)^-1 (I + H) of H = W S / 2, S symmetric."""
-    W = np.asarray(sl.standard_gram(sl.delta(n)), dtype=float)
-    S = rng.standard_normal((2 * n, 2 * n))
-    H = 0.5 * W @ (0.5 * (S + S.T) * 0.4)
-    return np.linalg.solve(np.eye(2 * n) - H, np.eye(2 * n) + H)

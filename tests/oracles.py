@@ -7,16 +7,19 @@ intertwiner lattice that tries every value of the last coefficient, the
 grid residuals that invert the metric (or the whole 4d metric -dt^2 + h) by
 LAPACK at every node instead of reading the factor Grid3 computes once, the
 dyon flux by quadrature of the whole curvature instead of c times the integral
-of the solid-angle form, and the radial Higgs profile by scipy's adaptive quad
-instead of fixed Gauss-Legendre panels in ln r."""
+of the solid-angle form, the radial Higgs profile by scipy's adaptive quad
+instead of fixed Gauss-Legendre panels in ln r, and the Siegel-group sampler as a
+word of checked group elements instead of a product of integer matrices."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 
 from sympforge import exactmat as xm
 from sympforge import dyons, forms4d, monodromy, reduction3d, siegel
+from sympforge import symplattice as sl
 
 
 def to_fraction(A):
@@ -245,3 +248,48 @@ def psi_by_quad(sol, r):
                           1.0, x, epsrel=1e-10, epsabs=1e-13)[0]
                      for i in range(len(sol.v))] for x in r.ravel()])
     return (sol.v_prime - out).reshape(r.shape + (len(sol.v),))
+
+
+def siegel_generators(t):
+    """The type-t generators of selftest.random_member as group elements: the upper and
+    lower unipotents of E_ii, the upper one of (t_j E_ij + t_i E_ji) / gcd(t_i, t_j) for
+    i < j, and Omega for a constant type."""
+    t = sl.validate_type(t)
+    n = len(t)
+
+    def embed(B, upper):
+        r, c = (0, n) if upper else (n, 0)
+        S = xm.identity(2 * n)
+        for i in range(n):
+            for j in range(n):
+                S[r + i][c + j] = B[i][j]
+        return siegel.SiegelElement.make(S, t)
+
+    gens = []
+    for i in range(n):
+        B = xm.zeros(n, n)
+        B[i][i] = 1
+        gens += [embed(B, True), embed(B, False)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(t[i], t[j])
+            B = xm.zeros(n, n)
+            B[i][j] = t[j] // g
+            B[j][i] = t[i] // g
+            gens.append(embed(B, True))
+    if all(x == t[0] for x in t):
+        gens.append(siegel.SiegelElement.make(sl.standard_gram(sl.delta(n)), t))
+    return gens
+
+
+def random_member_by_elements(t, rng, word_length):
+    """selftest.random_member as a word of SiegelElements, each letter inverted by
+    SiegelElement.inverse with probability 1/2 and multiplied by the group law."""
+    gens = siegel_generators(t)
+    g = siegel.SiegelElement.make(xm.identity(2 * len(t)), t)
+    for _ in range(word_length):
+        pick = gens[rng.randrange(len(gens))]
+        if rng.random() < 0.5:
+            pick = pick.inverse()
+        g = g @ pick
+    return g

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sympforge import dyons, exactmat as xm, forms4d, monodromy
-from sympforge import reduction3d, siegel, symplattice as sl, taming
+from sympforge import reduction3d, selftest, siegel, symplattice as sl, taming
 from sympforge.selftest import random_chain, random_gram, random_unimodular
 from oracles import inverse, to_fraction
 
@@ -46,8 +46,8 @@ def test_criterion_03_group_membership_closure_and_monotonicity():
     rng = random.Random(3)
     for _ in range(200):
         t = rng.choice([(1,), (2,), (1, 2), (2, 4), (3,)])
-        a = siegel.random_member(t, rng, word_length=4)
-        b = siegel.random_member(t, rng, word_length=4)
+        a = selftest.random_member(t, rng, word_length=4)
+        b = selftest.random_member(t, rng, word_length=4)
         assert siegel.is_member((a @ b).rows(), t)
         assert siegel.is_member(a.inverse().rows(), t)
     pairs = [((1,), (2,)), ((1,), (3,)), ((1,), (4,)), ((2,), (4,)),
@@ -59,7 +59,7 @@ def test_criterion_03_group_membership_closure_and_monotonicity():
     assert len(pairs) == 20
     for t, t2 in pairs:
         for _ in range(5):
-            a = siegel.random_member(t, rng, word_length=3)
+            a = selftest.random_member(t, rng, word_length=3)
             moved = siegel.transport(a.rows(), t, t2)
             if moved is not None:
                 assert siegel.is_member(moved, t2)
@@ -71,7 +71,7 @@ def test_criterion_04_affine_group_axioms():
         t = rng.choice([(1,), (2,), (3,)])
         gs = [siegel.AffElement.make(
                   [Fraction(rng.randint(0, 23), 24) for _ in range(2)],
-                  siegel.random_member(t, rng, word_length=3))
+                  selftest.random_member(t, rng, word_length=3))
               for _ in range(3)]
         g1, g2, g3 = gs
         assert siegel.aff_compose(siegel.aff_compose(g1, g2), g3) == \
@@ -87,7 +87,7 @@ def test_criterion_05_taming_bijection_and_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(1, 5))
-        N = taming.random_period_matrix(n, rng)
+        N = selftest.random_period_matrix(n, rng)
         J = taming.theta_forward(N)
         ok, report = taming.is_taming(J)
         assert ok, report
@@ -105,14 +105,14 @@ def test_criterion_05_taming_bijection_and_closed_form():
 def test_criterion_06_lorentzian_hodge_squares():
     rng = np.random.default_rng(6)
     for _ in range(500):
-        p = forms4d.random_metric(rng)
+        p = selftest.random_metric(rng)
         n = int(rng.integers(1, 3))
-        F = forms4d.random_two_form(rng, n)
+        F = selftest.random_two_form(rng, n)
         scale = max(1.0, np.max(np.abs(F)))
         out = forms4d.hodge_star2(p, forms4d.hodge_star2(p, F))
         assert np.max(np.abs(out + F)) < 1e-10 * scale
-        J = taming.theta_forward(taming.random_period_matrix(n, rng))
-        V = forms4d.random_two_form(rng, 2 * n)
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
+        V = selftest.random_two_form(rng, 2 * n)
         out = forms4d.polarized_star(p, J, forms4d.polarized_star(p, J, V))
         assert np.max(np.abs(out - V)) < 1e-9 * max(1.0, np.max(np.abs(V)))
 
@@ -121,9 +121,9 @@ def test_criterion_07_twisted_selfduality_lemma():
     rng = np.random.default_rng(7)
     for _ in range(500):
         n = int(rng.integers(1, 3))
-        p = forms4d.random_metric(rng)
-        N = taming.random_period_matrix(n, rng)
-        F = forms4d.random_two_form(rng, n)
+        p = selftest.random_metric(rng)
+        N = selftest.random_period_matrix(n, rng)
+        F = selftest.random_two_form(rng, n)
         V = np.concatenate([F, forms4d.g_map(p, N, F)])
         # forward: the assembled pair satisfies the self-duality condition
         ok, F_out, report = forms4d.check_polarized_selfdual(p, N, V, tol=1e-9)
@@ -137,12 +137,12 @@ def test_criterion_08_duality_equivariance():
     rng = np.random.default_rng(8)
     for _ in range(200):
         n = int(rng.integers(1, 3))
-        p = forms4d.random_metric(rng)
-        N = taming.random_period_matrix(n, rng)
+        p = selftest.random_metric(rng)
+        N = selftest.random_period_matrix(n, rng)
         J = taming.theta_forward(N)
-        F = forms4d.random_two_form(rng, n)
+        F = selftest.random_two_form(rng, n)
         V = np.concatenate([F, forms4d.g_map(p, N, F)])
-        g = taming.random_symplectic(n, rng)
+        g = selftest.random_symplectic(n, rng)
         V2 = forms4d.duality_act(g, V)
         J2 = taming.taming_conjugate(J, g)
         resid = forms4d.hodge_star2(p, V2) + np.einsum("jk,kab->jab", J2, V2)
@@ -158,7 +158,7 @@ def test_criterion_09_static_decomposition_and_convergence():
         g[0, 0] = -1.0
         g[1:, 1:] = h
         p = forms4d.LorentzPoint(g, orientation=1 if rng.random() < 0.5 else -1)
-        w = forms4d.random_two_form(rng, int(rng.integers(1, 4)))
+        w = selftest.random_two_form(rng, int(rng.integers(1, 4)))
         assert reduction3d.star_decompose_check(p, w) < 1e-10
     # 4d self-duality vs 3d reduction: both residuals shrink at O(h^2)
     J = taming.theta_forward(taming.PeriodMatrix([[0.0]], [[1.0]]))
@@ -179,7 +179,7 @@ def test_criterion_10_dyon_construction_and_flux():
     rng = np.random.default_rng(10)
     for _ in range(10):
         n = int(rng.integers(1, 3))
-        J = taming.theta_forward(taming.random_period_matrix(n, rng))
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
         v = rng.integers(-3, 4, size=2 * n).astype(float)
         sol = dyons.dyon_construct(J, v, rng.standard_normal(2 * n))
         rep = dyons.dyon_verify(sol, [0.1, 1.0, 10.0])
@@ -231,9 +231,9 @@ def test_criterion_12_monodromy_verification():
     pres = monodromy.Presentation.make(2, [(1, 2, -1, -2)])
     for _ in range(100):
         t = rng.choice([(1,), (2,)])
-        a = siegel.random_member(t, rng, word_length=3)
+        a = selftest.random_member(t, rng, word_length=3)
         rep = monodromy.Representation((a, a), t)
-        gamma = siegel.random_member(t, rng, word_length=3)
+        gamma = selftest.random_member(t, rng, word_length=3)
         assert monodromy.validate_representation(pres, rep)
         assert monodromy.validate_representation(pres, rep.conjugated(gamma))
     ok, t_found = monodromy.verify_dirac_system(
@@ -242,10 +242,10 @@ def test_criterion_12_monodromy_verification():
     t = (1,)
     for _ in range(20):
         rep = monodromy.Representation(
-            (siegel.random_member(t, rng, word_length=3),
-             siegel.random_member(t, rng, word_length=3)), t)
+            (selftest.random_member(t, rng, word_length=3),
+             selftest.random_member(t, rng, word_length=3)), t)
         while True:
-            g0 = siegel.random_member(t, rng, word_length=2)
+            g0 = selftest.random_member(t, rng, word_length=2)
             if max(abs(x) for row in g0.matrix for x in row) <= 2:
                 break
         rep2 = rep.conjugated(g0)

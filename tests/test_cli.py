@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import sympforge
-from sympforge import cli, dyons, exactmat as xm, forms4d, reduction3d, serialize, siegel, taming
+from sympforge import cli, dyons, exactmat as xm, forms4d, reduction3d, selftest, serialize, siegel
+from sympforge import taming
 from strictjson import strict_loads
 
 
@@ -115,7 +116,7 @@ def test_taming_check_true_and_false(tmp_path, capsys):
 def test_selfdual_check(tmp_path, capsys):
     p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
     N = taming.PeriodMatrix([[0.0]], [[1.0]])
-    F = forms4d.random_two_form(np.random.default_rng(0), 1)
+    F = selftest.random_two_form(np.random.default_rng(0), 1)
     V = np.concatenate([F, forms4d.g_map(p, N, F)])
     payload = {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(),
                "orientation": 1,
@@ -147,7 +148,7 @@ def test_selfdual_check_reports_a_lower_half_off_g_map_as_false(tmp_path):
 
 
 def test_reduce_astdec_check(tmp_path, capsys):
-    w = forms4d.random_two_form(np.random.default_rng(1), 2)
+    w = selftest.random_two_form(np.random.default_rng(1), 2)
     payload = {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(),
                "orientation": 1,
                "omega": serialize.two_form_to_json(w)}
@@ -224,6 +225,14 @@ def test_dyon_build(capsys):
     assert report["verify"]["eq_residual"] < 1e-10
 
 
+
+def test_dyon_build_checks_the_charge_lattice_of_its_type(capsys):
+    """At type (1, 2) the charge lattice is Z^2 + (Z + 2Z): the last entry must be even."""
+    for v, code, member in (("0,0,0,1", 1, False), ("0,0,0,2", 0, True), ("1,-3,5,-4", 0, True)):
+        got, report = run(capsys, ["dyon", "build", "--type", "1,2", "--v", v])
+        assert (got, report["lattice_member"]) == (code, member), v
+
+
 def test_dyon_flux_non_integer_charge(tmp_path, capsys):
     payload = {"v": [0.5, 0.0], "vprime": [0.0, 0.0],
                "J": [[0.0, 1.0], [-1.0, 0.0]], "type": [1]}
@@ -282,7 +291,7 @@ def test_monodromy_conjugacy_of_empty_representations(tmp_path, capsys):
 def test_monodromy_conjugacy_in_dimension_four(tmp_path, capsys):
     t = (1, 1)
     rng = random.Random(4)
-    images = [siegel.random_member(t, rng, word_length=4) for _ in range(2)]
+    images = [selftest.random_member(t, rng, word_length=4) for _ in range(2)]
     planted = siegel.SiegelElement.make([[1, 0, 1, -1], [0, 1, -1, 2],
                                          [0, 0, 1, 0], [0, 0, 0, 1]], t)
     conjugates = [planted @ a @ planted.inverse() for a in images]
@@ -345,7 +354,7 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
 def selfdual_payload(passing):
     p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
     N = taming.PeriodMatrix([[0.0]], [[1.0]])
-    F = forms4d.random_two_form(np.random.default_rng(0), 1)
+    F = selftest.random_two_form(np.random.default_rng(0), 1)
     lower = forms4d.g_map(p, N, F) if passing else np.zeros_like(F)
     return {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(), "orientation": 1,
             "N": {"R": [[0.0]], "I": [[1.0]]},
@@ -389,7 +398,7 @@ KEY_ORDER = {
     "reduce_astdec_check": (["reduce", "astdec-check", "--in", "IN"],
                             lambda: {"metric": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(),
                                      "omega": serialize.two_form_to_json(
-                                         forms4d.random_two_form(np.random.default_rng(1), 2))},
+                                         selftest.random_two_form(np.random.default_rng(1), 2))},
                             0, ["status", "residual", "passes", "manifest"]),
     "bogomolny_residual": (["bogomolny", "residual", "--in", "IN"], bogomolny_payload,
                            0, ["status", "eq_residual", "closure_residual", "passes", "manifest"]),
@@ -767,10 +776,10 @@ def test_main_hides_the_warnings_errstate_hid(expr, warning):
 
 SELFDUAL_UNDER_O = """
 import numpy as np
-from sympforge import forms4d, taming
+from sympforge import forms4d, selftest, taming
 p = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
 N = taming.PeriodMatrix([[0.0]], [[1.0]])
-F = forms4d.random_two_form(np.random.default_rng(0), 1)
+F = selftest.random_two_form(np.random.default_rng(0), 1)
 V = np.concatenate([F, forms4d.g_map(p, N, F)])
 print(__debug__, forms4d.check_polarized_selfdual(p, N, V)[0])
 forms4d.g_map = lambda p, N, F: 0 * F   # breaks the lower-half condition

@@ -1,13 +1,14 @@
 import ast
 import pathlib
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 import sympforge
-from sympforge import dyons, forms4d, reduction3d, taming
-from oracles import flux_by_quadrature, psi_by_quad
+from sympforge import dyons, exactmat as xm, forms4d, reduction3d, selftest, taming
+from oracles import flux_by_quadrature, inverse, psi_by_quad
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -36,7 +37,7 @@ def test_construct_warns_on_non_integer_charge():
 
 def test_generic_dyon_passes_grid_residual():
     rng = np.random.default_rng(0)
-    N = taming.random_period_matrix(1, rng)
+    N = selftest.random_period_matrix(1, rng)
     J = taming.theta_forward(N)
     sol = dyons.dyon_construct(J, [2, -1], [0.1, 0.2])
     grid = dyons.default_far_grid(nodes=7)
@@ -47,7 +48,7 @@ def test_generic_dyon_passes_grid_residual():
 
 def test_radial_taming_samples_the_closed_form():
     # a constant function J(r) = J0 takes the quadrature path, which fixes psi(1) = v'
-    J0 = taming.theta_forward(taming.random_period_matrix(1, np.random.default_rng(3)))
+    J0 = taming.theta_forward(selftest.random_period_matrix(1, np.random.default_rng(3)))
     v, vprime = np.array([2.0, -1.0]), np.array([0.1, 0.2])
     grid = dyons.default_far_grid(nodes=3)
     pair = dyons.dyon_construct(lambda r: J0, v, vprime).sample_pair(grid)
@@ -117,7 +118,7 @@ def test_radial_taming_profile_matches_the_quad_oracle():
     rng = np.random.default_rng(37)
     for k in range(18):
         n = k % 3 + 1
-        N = taming.random_period_matrix(n, rng)
+        N = selftest.random_period_matrix(n, rng)
         J0 = taming.theta_forward(N)
         J = ((lambda s: J0),
              (lambda s: taming.theta_forward(taming.PeriodMatrix(np.zeros((n, n)), s * np.eye(n)))),
@@ -131,7 +132,7 @@ def test_radial_taming_profile_matches_the_quad_oracle():
 def test_radial_taming_is_evaluated_once_per_quadrature_node():
     """16 nodes for each radius's partial panel and for each whole panel between
     t = 0 and the farthest ln r on either side; a 17^3 grid takes one pass."""
-    J0 = taming.theta_forward(taming.random_period_matrix(1, np.random.default_rng(3)))
+    J0 = taming.theta_forward(selftest.random_period_matrix(1, np.random.default_rng(3)))
     calls = []
     sol = dyons.dyon_construct(lambda s: calls.append(s) or J0, [2.0, -1.0], [0.1, 0.2])
     calls.clear()
@@ -158,7 +159,6 @@ def test_flux_unit_magnetic_charge():
     assert np.max(np.abs(rep.normalized - np.array([0.0, -1.0]))) < 1e-8
     assert rep.lattice_member
     assert rep.realized_sign == -1
-    assert np.allclose(rep.chern, [0.0, 0.5])
 
 
 def test_flux_vacuum():
@@ -175,11 +175,29 @@ def test_flux_non_integer_charge_fails_membership():
     assert not rep.lattice_member
 
 
+
+def test_flux_membership_is_the_charge_lattice_of_the_type():
+    """flux / 2 pi = -v is a member iff v lies in Gamma_t Z^{2n}, Gamma_t = diag(I, D_t),
+    decided over the Fractions of Gamma_t^-1 v."""
+    rng, draws, seen = np.random.default_rng(37), random.Random(37), set()
+    for k in range(60):
+        n = k % 3 + 1
+        t = selftest.random_chain(draws, n)
+        v = [draws.randint(-8, 8) for _ in range(2 * n)]
+        gamma = [[((1,) * n + t)[i] * (i == j) for j in range(2 * n)] for i in range(2 * n)]
+        member = all(x.denominator == 1 for x in xm.matvec(inverse(gamma), v))
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
+        rep = dyons.flux_quantization(dyons.dyon_construct(J, v, np.zeros(2 * n), type_ctx=t))
+        assert rep.lattice_member == member, (t, v)
+        seen.add(member)
+    assert seen == {True, False}
+
+
 def test_flux_matches_analytic_for_random_charges():
     rng = np.random.default_rng(1)
     for _ in range(10):
         n = int(rng.integers(1, 3))
-        J = taming.theta_forward(taming.random_period_matrix(n, rng))
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
         v = rng.integers(-3, 4, size=2 * n).astype(float)
         sol = dyons.dyon_construct(J, v, np.zeros(2 * n))
         rep = dyons.flux_quantization(sol)
@@ -192,7 +210,7 @@ def test_flux_is_the_quadrature_of_the_curvature():
     rng = np.random.default_rng(29)
     for k in range(48):
         n = k % 3 + 1
-        N = taming.random_period_matrix(n, rng)
+        N = selftest.random_period_matrix(n, rng)
         J = taming.theta_forward(N) if k % 2 else \
             (lambda r, N=N: taming.theta_forward(taming.PeriodMatrix(N.R, r * N.I)))
         v = rng.integers(-3, 4, size=2 * n) + rng.uniform(-0.5, 0.5, 2 * n) * (k % 4 > 1)
@@ -208,7 +226,7 @@ def test_flux_is_the_quadrature_of_the_curvature():
 
 def test_psi_and_dpsi_dr_on_arrays_stack_the_per_radius_calls():
     rng = np.random.default_rng(31)
-    N = taming.random_period_matrix(2, rng)
+    N = selftest.random_period_matrix(2, rng)
     v, vprime = np.array([2.0, -1.0, 0.0, 3.0]), rng.standard_normal(4)
     r = rng.uniform(0.2, 5.0, (2, 3))
     const = dyons.dyon_construct(taming.theta_forward(N), v, vprime)
@@ -223,7 +241,7 @@ def test_psi_and_dpsi_dr_on_arrays_stack_the_per_radius_calls():
 
 
 def test_psi_of_no_radii_has_no_rows_for_either_kind_of_J():
-    J0 = taming.theta_forward(taming.random_period_matrix(2, np.random.default_rng(5)))
+    J0 = taming.theta_forward(selftest.random_period_matrix(2, np.random.default_rng(5)))
     for J in (J0, lambda s: J0):
         sol = dyons.dyon_construct(J, [1.0, 0.0, -2.0, 1.0], [0.5, 0.0, 0.0, 0.25])
         assert sol.psi(np.array([])).shape == (0, 4)
@@ -343,7 +361,7 @@ def test_sampling_gives_the_whole_array_formulas_bit_for_bit():
     profile J v / 2r + v' is formed in component planes and the solid-angle form is one eps
     product; each gives the bits (signed zeros included) of the whole-array expression."""
     rng = np.random.default_rng(32)
-    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    J = taming.theta_forward(selftest.random_period_matrix(2, rng))
     sol = dyons.dyon_construct(J, [2.0, -1.0, 0.0, 1.0], rng.standard_normal(4))
     for shape in ((3,), (1, 3), (7, 3), (5, 6, 4, 3)):
         X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)

@@ -13,7 +13,7 @@ import pytest
 
 import sympforge
 from sympforge import exactmat as xm
-from sympforge import monodromy, siegel
+from sympforge import monodromy, selftest, siegel
 from sympforge import symplattice as sl
 from oracles import (box_conjugacy_test, candidate_index, intertwiner_basis, inverse,
                      lattice_conjugacy_test, to_fraction)
@@ -129,7 +129,7 @@ def random_rational_symplectic(rng, n):
 def planted_min_type_input(rng, t):
     """Gamma_t S Gamma_t^-1 for a random type-t member S: a rational
     symplectic matrix for the principal form."""
-    S = siegel.random_member(t, rng, word_length=6).rows()
+    S = selftest.random_member(t, rng, word_length=6).rows()
     return xm.matmul(gamma(t), xm.matmul(to_fraction(S), inverse(gamma(t))))
 
 
@@ -140,7 +140,7 @@ def planted_min_type_input(rng, t):
 def test_closed_form_inverse_matches_gauss_jordan(t):
     rng = random.Random(sum(t))
     for _ in range(25):
-        g = siegel.random_member(t, rng, word_length=8)
+        g = selftest.random_member(t, rng, word_length=8)
         inv = g.inverse()
         assert inv.rows() == xm.to_int(inverse(g.rows()))
         assert (g @ inv).is_identity() and (inv @ g).is_identity()
@@ -163,7 +163,7 @@ def test_values_built_from_members_stay_members(t):
     rng = random.Random(7 + sum(t))
     member = lambda g: siegel.is_member(g.rows(), t) and member_oracle(g.rows(), t)
     for _ in range(10):
-        a, b, g = (siegel.SiegelElement.make(siegel.random_member(t, rng, 4).rows(), t)
+        a, b, g = (siegel.SiegelElement.make(selftest.random_member(t, rng, 4).rows(), t)
                    for _ in range(3))
         assert all(member(x) for x in (a @ b, a.inverse(), (a @ b).inverse() @ a))
         rep = monodromy.Representation.make([a.rows(), b.rows()], t)
@@ -185,7 +185,7 @@ def test_sparse_membership_matches_full_product(t):
     rng = random.Random(100 + sum(t))
     m = 2 * len(t)
     for _ in range(25):
-        S = siegel.random_member(t, rng, word_length=6).rows()
+        S = selftest.random_member(t, rng, word_length=6).rows()
         assert siegel.is_member(S, t) and member_oracle(S, t)
         bumped = [row[:] for row in S]
         bumped[rng.randrange(m)][rng.randrange(m)] += rng.choice([-1, 1])
@@ -238,7 +238,7 @@ def test_transport_matches_fraction_matrix_oracle():
              ((1, 1, 2), (1, 2, 4)), ((1, 2, 4), (2, 2, 4))]
     for t, t2 in pairs:
         for _ in range(20):
-            S = siegel.random_member(t, rng, word_length=4).rows()
+            S = selftest.random_member(t, rng, word_length=4).rows()
             assert siegel.transport(S, t, t2) == transport_oracle(S, t, t2)
     with pytest.raises(ValueError, match="matrix and types do not have matching sizes"):
         siegel.transport(xm.identity(2), (1,), (1, 2))
@@ -310,7 +310,7 @@ def test_dirac_verification_matches_gauss_jordan_oracle():
         # form: P V is a basis of type t, preserved by P S P^-1 for type-t members S
         P = xm.matmul(random_rational_symplectic(rng, len(t)), gamma(t))
         images = [xm.matmul(P, xm.matmul(to_fraction(
-            siegel.random_member(t, rng, word_length=4).rows()), inverse(P)))
+            selftest.random_member(t, rng, word_length=4).rows()), inverse(P)))
             for _ in range(rng.randint(1, 2))]
         basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
         while xm.det(basis) == 0:
@@ -375,13 +375,13 @@ def test_conjugacy_matches_box_search_in_dimension_two():
     seen = []
     for k in range(300):
         t = [(1,), (2,), (3,)][k % 3]
-        images = [siegel.random_member(t, rng, word_length=3) for _ in range(rng.randint(1, 2))]
+        images = [selftest.random_member(t, rng, word_length=3) for _ in range(rng.randint(1, 2))]
         rep = monodromy.Representation(tuple(images), t)
         kind = rng.randrange(3)
         if kind < 2:    # conjugate by a short word (mostly found) or a long one
-            rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=2 + 3 * kind))
+            rep2 = rep.conjugated(selftest.random_member(t, rng, word_length=2 + 3 * kind))
         else:           # unrelated images, mostly a trace mismatch
-            rep2 = monodromy.Representation(tuple(siegel.random_member(t, rng, word_length=3)
+            rep2 = monodromy.Representation(tuple(selftest.random_member(t, rng, word_length=3)
                                                   for _ in rep.images), t)
         bound = rng.choice([-1, 0, 1, 2, 2, 3, 3, 3])
         budget = rng.choice([2_000_000, 2_000_000, 60, 1])   # with 6, no draw is refused
@@ -407,10 +407,10 @@ def test_conjugacy_recovers_planted_conjugators_in_dimension_four():
     t = (1, 1)
     for _ in range(12):
         rep = monodromy.Representation(
-            tuple(siegel.random_member(t, rng, word_length=4) for _ in range(2)), t)
-        g0 = siegel.random_member(t, rng, word_length=3)
+            tuple(selftest.random_member(t, rng, word_length=4) for _ in range(2)), t)
+        g0 = selftest.random_member(t, rng, word_length=3)
         while max(abs(x) for row in g0.matrix for x in row) > 1:
-            g0 = siegel.random_member(t, rng, word_length=3)
+            g0 = selftest.random_member(t, rng, word_length=3)
         rep2 = rep.conjugated(g0)
         gamma, cert = monodromy.conjugacy_test_bounded(rep, rep2, 1)
         assert cert == "found" and siegel.is_member(gamma, t)
@@ -445,12 +445,12 @@ def test_conjugacy_matches_lattice_enumeration_in_dimension_two():
     for k in range(240):
         t = [(1,), (2,), (3,)][k % 3]
         rep = monodromy.Representation(
-            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+            tuple(selftest.random_member(t, rng, word_length=rng.randint(0, 3))
                   for _ in range(rng.randint(1, 2))), t)
         if rng.random() < 0.7:
-            rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=rng.randint(0, 3)))
+            rep2 = rep.conjugated(selftest.random_member(t, rng, word_length=rng.randint(0, 3)))
         else:
-            rep2 = monodromy.Representation(tuple(siegel.random_member(t, rng, word_length=3)
+            rep2 = monodromy.Representation(tuple(selftest.random_member(t, rng, word_length=3)
                                                   for _ in rep.images), t)
         got = same_as_lattice_enumeration(rep, rep2, k % 7 - 1, 3 ** 9)   # bounds -1..5
         seen.add(got[1])
@@ -471,9 +471,9 @@ def test_conjugacy_matches_lattice_enumeration_in_dimension_four():
         if seen == want:
             break
         rep = monodromy.Representation(
-            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+            tuple(selftest.random_member(t, rng, word_length=rng.randint(0, 3))
                   for _ in range(rng.randint(1, 2))), t)
-        g0 = siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+        g0 = selftest.random_member(t, rng, word_length=rng.randint(0, 3))
         if max(abs(x) for row in g0.matrix for x in row) > 1:
             continue
         rep2 = rep.conjugated(g0)
@@ -589,9 +589,9 @@ def test_budget_guard_bounds_the_walk(monkeypatch):
     for k in range(120):
         t = [(1,), (2,), (1, 1), (1, 2)][k % 4]
         rep = monodromy.Representation(
-            tuple(siegel.random_member(t, rng, word_length=rng.randint(0, 3))
+            tuple(selftest.random_member(t, rng, word_length=rng.randint(0, 3))
                   for _ in range(rng.randint(1, 2))), t)
-        rep2 = rep.conjugated(siegel.random_member(t, rng, word_length=rng.randint(0, 2)))
+        rep2 = rep.conjugated(selftest.random_member(t, rng, word_length=rng.randint(0, 2)))
         bound = rng.randint(0, 2 if len(t) == 1 else 1)
         budget = (2 * bound + 1) ** max(len(intertwiner_basis(rep, rep2)) - 1, 0)
         if budget <= 3 ** 10:

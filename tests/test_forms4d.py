@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from sympforge import forms4d, taming
+from sympforge import forms4d, selftest, taming
 
 MINK = forms4d.LorentzPoint(np.diag([-1.0, 1.0, 1.0, 1.0]))
 
@@ -29,8 +29,8 @@ def test_star_minkowski_dy_dz():
 def test_star_squares_to_minus_one():
     rng = np.random.default_rng(0)
     for _ in range(30):
-        p = forms4d.random_metric(rng)
-        F = forms4d.random_two_form(rng, 2)
+        p = selftest.random_metric(rng)
+        F = selftest.random_two_form(rng, 2)
         out = forms4d.hodge_star2(p, forms4d.hodge_star2(p, F))
         assert np.max(np.abs(out + F)) < 1e-9 * max(1.0, np.max(np.abs(F)))
 
@@ -54,7 +54,7 @@ def test_rejects_metrics_that_are_not_lorentzian(metric):
 
 def test_polarized_star_block_action():
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    F = forms4d.random_two_form(np.random.default_rng(1), 1)
+    F = selftest.random_two_form(np.random.default_rng(1), 1)
     V = np.concatenate([F, np.zeros_like(F)])
     out = forms4d.polarized_star(MINK, J, V)
     sF = forms4d.hodge_star2(MINK, F)
@@ -66,9 +66,9 @@ def test_polarized_star_squares_to_plus_one():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(1, 3))
-        p = forms4d.random_metric(rng)
-        J = taming.theta_forward(taming.random_period_matrix(n, rng))
-        V = forms4d.random_two_form(rng, 2 * n)
+        p = selftest.random_metric(rng)
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
+        V = selftest.random_two_form(rng, 2 * n)
         out = forms4d.polarized_star(p, J, forms4d.polarized_star(p, J, V))
         assert np.max(np.abs(out - V)) < 1e-8 * max(1.0, np.max(np.abs(V)))
 
@@ -86,9 +86,9 @@ def test_polarized_star_rank_mismatch():
 
 def test_selfdual_project_reassembles_and_splits():
     rng = np.random.default_rng(3)
-    p = forms4d.random_metric(rng)
-    J = taming.theta_forward(taming.random_period_matrix(1, rng))
-    V = forms4d.random_two_form(rng, 2)
+    p = selftest.random_metric(rng)
+    J = taming.theta_forward(selftest.random_period_matrix(1, rng))
+    V = selftest.random_two_form(rng, 2)
     plus, minus = forms4d.selfdual_project(p, J, V)
     assert np.max(np.abs(plus + minus - V)) < 1e-10
     assert np.max(np.abs(forms4d.polarized_star(p, J, plus) - plus)) < 1e-8
@@ -97,9 +97,9 @@ def test_selfdual_project_reassembles_and_splits():
 
 def test_selfdual_project_on_eigenvectors():
     rng = np.random.default_rng(4)
-    p = forms4d.random_metric(rng)
-    J = taming.theta_forward(taming.random_period_matrix(1, rng))
-    V = forms4d.random_two_form(rng, 2)
+    p = selftest.random_metric(rng)
+    J = taming.theta_forward(selftest.random_period_matrix(1, rng))
+    V = selftest.random_two_form(rng, 2)
     sd, asd = forms4d.selfdual_project(p, J, V)
     again_plus, again_minus = forms4d.selfdual_project(p, J, sd)
     assert np.max(np.abs(again_plus - sd)) < 1e-8
@@ -111,7 +111,7 @@ def test_selfdual_project_on_eigenvectors():
 
 def test_g_map_unit_period_is_minus_star():
     N = taming.PeriodMatrix([[0.0]], [[1.0]])
-    F = forms4d.random_two_form(np.random.default_rng(5), 1)
+    F = selftest.random_two_form(np.random.default_rng(5), 1)
     out = forms4d.g_map(MINK, N, F)
     assert np.allclose(out, -forms4d.hodge_star2(MINK, F), atol=1e-13)
 
@@ -125,9 +125,9 @@ def test_selfdual_check_accepts_partnered_form():
     rng = np.random.default_rng(6)
     for _ in range(20):
         n = int(rng.integers(1, 3))
-        p = forms4d.random_metric(rng)
-        N = taming.random_period_matrix(n, rng)
-        F = forms4d.random_two_form(rng, n)
+        p = selftest.random_metric(rng)
+        N = selftest.random_period_matrix(n, rng)
+        F = selftest.random_two_form(rng, n)
         V = np.concatenate([F, forms4d.g_map(p, N, F)])
         ok, F_out, report = forms4d.check_polarized_selfdual(p, N, V)
         assert ok, report
@@ -162,7 +162,7 @@ def test_selfdual_check_refuses_a_lower_half_off_g_map():
 
 
 def test_duality_act_identity():
-    V = forms4d.random_two_form(np.random.default_rng(7), 2)
+    V = selftest.random_two_form(np.random.default_rng(7), 2)
     assert np.allclose(forms4d.duality_act(np.eye(2), V), V)
 
 
@@ -176,12 +176,12 @@ def test_duality_act_transports_selfduality():
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(1, 3))
-        p = forms4d.random_metric(rng)
-        N = taming.random_period_matrix(n, rng)
+        p = selftest.random_metric(rng)
+        N = selftest.random_period_matrix(n, rng)
         J = taming.theta_forward(N)
-        F = forms4d.random_two_form(rng, n)
+        F = selftest.random_two_form(rng, n)
         V = np.concatenate([F, forms4d.g_map(p, N, F)])
-        g = taming.random_symplectic(n, rng)
+        g = selftest.random_symplectic(n, rng)
         V2 = forms4d.duality_act(g, V)
         J2 = taming.taming_conjugate(J, g)
         resid = forms4d.hodge_star2(p, V2) + np.einsum("jk,kab->jab", J2, V2)
@@ -190,9 +190,9 @@ def test_duality_act_transports_selfduality():
 
 def test_local_and_global_conditions_agree():
     rng = np.random.default_rng(9)
-    p = forms4d.random_metric(rng)
-    N = taming.random_period_matrix(2, rng)
-    F = forms4d.random_two_form(rng, 2)
+    p = selftest.random_metric(rng)
+    N = selftest.random_period_matrix(2, rng)
+    F = selftest.random_two_form(rng, 2)
     V = np.concatenate([F, forms4d.g_map(p, N, F)])
     ok, _, report = forms4d.check_polarized_selfdual(p, N, V)
     assert ok
@@ -243,7 +243,7 @@ def random_metrics(rng, d, count, indefinite=False):
     """Metrics of signature (3, 1) in 4d; in 3d positive definite, or of
     signature (2, 1) (det g < 0) and condition at most 20 when indefinite."""
     if d == 4:
-        return np.stack([forms4d.random_metric(rng).metric for _ in range(count)])
+        return np.stack([selftest.random_metric(rng).metric for _ in range(count)])
     if indefinite:
         B = [b for b in (np.eye(3) + 0.3 * rng.standard_normal((3, 3)) for _ in range(10 * count))
              if np.linalg.cond(b) ** 2 <= 20][:count]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sympforge import exactmat as xm
-from sympforge import monodromy, siegel
+from sympforge import monodromy, selftest, siegel
 from oracles import inverse, to_fraction
 
 
@@ -105,7 +105,7 @@ def test_dirac_planted_type_in_dimension_four():
     rng = random.Random(8)
     t = (1, 2)
     gamma_t = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
-    images = [xm.matmul(gamma_t, xm.matmul(siegel.random_member(t, rng, word_length=6).rows(),
+    images = [xm.matmul(gamma_t, xm.matmul(selftest.random_member(t, rng, word_length=6).rows(),
                                            inverse(gamma_t))) for _ in range(3)]
     V = [[1, 2, 0, 1], [0, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 1]]
     assert abs(xm.det(V)) == 1
@@ -141,10 +141,10 @@ def test_conjugacy_plant_and_recover():
     t = (1,)
     for _ in range(5):
         rep = monodromy.Representation(
-            (siegel.random_member(t, rng, word_length=3),
-             siegel.random_member(t, rng, word_length=3)), t)
+            (selftest.random_member(t, rng, word_length=3),
+             selftest.random_member(t, rng, word_length=3)), t)
         while True:
-            g0 = siegel.random_member(t, rng, word_length=2)
+            g0 = selftest.random_member(t, rng, word_length=2)
             if max(abs(x) for row in g0.matrix for x in row) <= 2:
                 break
         rep2 = rep.conjugated(g0)
@@ -201,8 +201,8 @@ def test_validation_is_conjugation_invariant():
     pres = monodromy.Presentation.make(2, [(1, 2, -1, -2)])
     t = (1,)
     for _ in range(10):
-        a = siegel.random_member(t, rng, word_length=3)
+        a = selftest.random_member(t, rng, word_length=3)
         rep = monodromy.Representation((a, a), t)
-        gamma = siegel.random_member(t, rng, word_length=3)
+        gamma = selftest.random_member(t, rng, word_length=3)
         assert monodromy.validate_representation(pres, rep)
         assert monodromy.validate_representation(pres, rep.conjugated(gamma))

@@ -29,7 +29,6 @@ OPTIONS = {
     "serialize.grid_field_to_json.path",
     "serialize.grid_field_to_json.binary",
     "serialize.grid_field_from_json.base_dir",
-    "siegel.random_member.word_length",
     "taming.is_taming.tol",
 }
 
@@ -67,3 +66,18 @@ def test_options_match_the_allowlist():
         found |= options(ast.parse(path.read_text()), path.stem)
     assert not found - OPTIONS, f"new options: {sorted(found - OPTIONS)}"
     assert not OPTIONS - found, f"options gone, drop them here: {sorted(OPTIONS - found)}"
+
+
+def test_only_selftest_takes_a_random_stream():
+    """Sampling is a test utility: outside selftest no library function takes an rng."""
+    takers = []
+    for path in sorted(pathlib.Path(sympforge.__file__).parent.glob("*.py")):
+        if path.stem == "selftest":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "rng" in names:
+                    takers.append(f"{path.name}:{node.lineno}")
+    assert takers == []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sympforge import dyons, forms4d, reduction3d, taming
+from sympforge import dyons, forms4d, reduction3d, selftest, taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -48,7 +49,7 @@ def test_decompose_dy_dz():
 def test_decompose_reassemble_random():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        w = forms4d.random_two_form(rng, int(rng.integers(1, 4)))
+        w = selftest.random_two_form(rng, int(rng.integers(1, 4)))
         top, perp = reduction3d.decompose_form(w)
         assert np.max(np.abs(reduction3d.reassemble_form(top, perp) - w)) == 0.0
 
@@ -64,7 +65,7 @@ def test_star_factorization_random():
     for _ in range(50):
         p = static_point(random_spatial_metric(rng),
                          orientation=1 if rng.random() < 0.5 else -1)
-        w = forms4d.random_two_form(rng, int(rng.integers(1, 4)))
+        w = selftest.random_two_form(rng, int(rng.integers(1, 4)))
         assert reduction3d.star_decompose_check(p, w) < 1e-10
 
 
@@ -212,7 +213,7 @@ def test_constant_metric_matches_same_metric_per_node():
     rng = np.random.default_rng(11)
     h = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.1], [-0.2, 0.1, 0.5]])
     shape = (5, 6, 4)
-    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    J = taming.theta_forward(selftest.random_period_matrix(2, rng))
     psi = rng.standard_normal(shape + (4,))
     A = rng.standard_normal(shape + (4, 3, 3))
     pair = (psi, A - np.swapaxes(A, -1, -2))
@@ -261,7 +262,7 @@ def test_grid_factor_matches_lapack():
 def test_grid_consumers_match_lapack_oracles():
     rng = np.random.default_rng(13)
     shape = (5, 6, 4)
-    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    J = taming.theta_forward(selftest.random_period_matrix(2, rng))
     psi = rng.standard_normal(shape + (4,))
     A = rng.standard_normal(shape + (4, 3, 3))
     pair = reduction3d.BogomolnyPair(psi, A - np.swapaxes(A, -1, -2))
@@ -344,7 +345,7 @@ def test_lift_allocates_little_beyond_its_result():
     rng = np.random.default_rng(22)
     shape = (17, 17, 17)
     grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric_field(rng, shape))
-    J = taming.theta_forward(taming.random_period_matrix(2, rng))
+    J = taming.theta_forward(selftest.random_period_matrix(2, rng))
     A = rng.standard_normal(shape + (4, 3, 3))
     pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (4,)),
                                      A - np.swapaxes(A, -1, -2))
@@ -365,7 +366,7 @@ def test_lift_is_the_same_in_any_slabs(slab, monkeypatch):
     per slab (the first and last slabs hold no interior node) up to the whole grid."""
     rng = np.random.default_rng(23)
     shape = (6, 5, 4)
-    P = taming.random_period_matrix(2, rng)
+    P = selftest.random_period_matrix(2, rng)
     A = rng.standard_normal(shape + (4, 3, 3))
     pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (4,)),
                                      A - np.swapaxes(A, -1, -2))
@@ -403,6 +404,87 @@ def test_grid_symmetry_tolerance_is_lorentz_points():
             except ValueError:
                 grid_ok = False
             assert grid_ok == lorentz_ok
+
+
+
+def test_grid_factors_metrics_at_extreme_scales():
+    """h = c I factors to I / c and c^(3/2) where its adjugate and det would leave the float
+    range; a factor that is itself out of range is refused: sqrt det h at 1e300 I and 1e-300 I,
+    and h^-1 of diag(1e10, 1e10, 1e-309) (accepted before with an inf in h^-1)."""
+    shape = (3, 4, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e200, 1e-200, 4.0 ** 300, 1e-150):
+            for metric in (c * np.eye(3), c * np.ones(shape + (1, 1)) * np.eye(3)):
+                grid = reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric)
+                assert np.array_equal(grid.metric_inv, metric / c / c)
+                assert np.allclose(grid.sqrt_det, c ** 1.5, rtol=1e-15, atol=0.0)
+        for h in (1e300 * np.eye(3), 1e-300 * np.eye(3), np.diag([1e10, 1e10, 1e-309])):
+            for metric in (h, h * np.ones(shape + (1, 1))):
+                with pytest.raises(ValueError, match="out of range"):
+                    reduction3d.Grid3(shape=shape, spacing=(0.1,) * 3, metric=metric)
+
+
+def spd_field(rng, shape, scale):
+    """I + A A^T, A of normals / 2, summed by elementwise products: no BLAS, so its bits
+    are the same on any machine."""
+    A = rng.standard_normal(shape + (3, 3)) * 0.5
+    h = np.eye(3) * np.ones(shape + (1, 1))
+    for k in range(3):
+        h = h + A[..., :, None, k] * A[..., None, :, k]
+    return h * scale
+
+
+# sha256 of metric_inv then sqrt_det, as the unscaled factor (adjugate over det) gave them
+FACTOR_DIGESTS = {
+    "identity": "22477efc500771626ba5e358a14fb9a8",
+    "constant 1.0": "545587951cbab5c4d565c8010702b76e",
+    "per-node 1.0": "c26a91139c92d362680fcf67e67f2566",
+    "constant 10000000000.0": "c49ec7d037baf582bc033f128ece0e24",
+    "per-node 10000000000.0": "07caa6580a60438bd3bf5773f3e18ea4",
+    "constant 1e-10": "3a979a11a361a283e7ea588f8881cf3f",
+    "per-node 1e-10": "8d29a952a55bc03cff20b5878acc3b36",
+    "constant 3e+90": "8ca80474ce2653b35c565f9557c71d7d",
+    "per-node 3e+90": "9a1ed325bf7c63ad39df3049235127f3",
+    "constant 2e-90": "3806a976ea27c2ee877c495989be709e",
+    "per-node 2e-90": "6eb43331dfe3c20dd07b2c9f3482f4e3",
+    "per-node near-symmetric": "fb074ff459a3cae75f605eaa451dc005",
+}
+
+
+def test_scaled_grid_factor_is_the_unscaled_one_bit_for_bit():
+    """Scaling h by a power of four is exact, so wherever nothing over- or underflows the
+    factor keeps the bits of the unscaled adjugate over det, C- or Fortran-ordered."""
+    rng, shape = np.random.default_rng(41), (5, 6, 7)
+    metrics = {"identity": None}
+    for scale in (1.0, 1e10, 1e-10, 3e90, 2e-90):
+        metrics[f"constant {scale}"] = spd_field(rng, (), scale)
+        metrics[f"per-node {scale}"] = spd_field(rng, shape, scale)
+        metrics[f"fortran {scale}"] = np.asfortranarray(metrics[f"per-node {scale}"])
+    skew = spd_field(rng, shape, 1.0)
+    skew[..., 0, 1] += 5e-11 * rng.standard_normal(shape)
+    metrics["per-node near-symmetric"] = skew
+    for name, metric in metrics.items():
+        grid = reduction3d.Grid3(shape=shape, spacing=(0.1, 0.2, 0.3), metric=metric)
+        digest = hashlib.sha256(grid.metric_inv.tobytes() + grid.sqrt_det.tobytes()).hexdigest()
+        assert digest[:32] == FACTOR_DIGESTS[name.replace("fortran", "per-node")], name
+
+
+def test_grid_symmetry_tolerance_is_the_same_at_every_scale():
+    """|h - h^T| <= 1e-10 + 1e-5 |h^T| decides as it does unscaled, on either side of its
+    edge, whatever power of four the factor scales h by."""
+    for c in (1e-9, 1e-7, 1.0, 3e5, 4.0 ** 40):
+        for step in (0.5, 0.99, 1.01, 2.0):
+            metric = c * np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])
+            gap = step * (1e-10 + 1e-5 * metric[1, 0])
+            metric[0, 1] += gap
+            symmetric = abs(metric[0, 1] - metric[1, 0]) <= 1e-10 + 1e-5 * metric[1, 0]
+            try:
+                reduction3d.Grid3(shape=(3, 3, 3), spacing=(0.1,) * 3, metric=metric)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == symmetric, (c, step)
 
 
 def transpose_edge_cases(rng, shape, n, sign, atol, first=()):
@@ -448,12 +530,12 @@ def test_bogomolny_pair_antisymmetry_keeps_allclose_acceptance():
     sites = [   # build, shape, n, sign, atol, valid inputs
         (lambda V: reduction3d.BogomolnyPair(np.zeros(V.shape[:-2]), V),
          (3, 4, 3, 2), 3, -1, 1e-12, [sol.sample_pair(grid).V]),
-        (forms4d.as_two_form, (5,), 4, -1, 1e-12, [forms4d.random_two_form(
+        (forms4d.as_two_form, (5,), 4, -1, 1e-12, [selftest.random_two_form(
             np.random.default_rng(1), 2)]),
         (forms4d.LorentzPoint, (), 4, 1, 1e-10, [np.diag([-1.0, 1.0, 1.0, 1.0])]),
         (lambda R: taming.PeriodMatrix(R, np.eye(n)), (), n, 1, 1e-12, []),
         (lambda I: taming.PeriodMatrix(np.zeros((n, n)), I), (), n, 1, 1e-12, [np.eye(n)]),
-        (forms4d.as_two_form, (), 4, -1, 1e-12, [forms4d.random_two_form(   # one 4 x 4 matrix
+        (forms4d.as_two_form, (), 4, -1, 1e-12, [selftest.random_two_form(   # one 4 x 4 matrix
             np.random.default_rng(2), 1)[0]]),
     ]
     for k, (build, shape, size, sign, atol, valid) in enumerate(sites):
@@ -497,7 +579,7 @@ def test_euclidean_eq_field_is_the_oracles_bit_for_bit():
     rng = np.random.default_rng(16)
     for two_n in (2, 4):
         shape = (5, 6, 4)
-        J = taming.theta_forward(taming.random_period_matrix(two_n // 2, rng))
+        J = taming.theta_forward(selftest.random_period_matrix(two_n // 2, rng))
         A = rng.standard_normal(shape + (two_n, 3, 3))
         pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (two_n,)),
                                          A - np.swapaxes(A, -1, -2))
@@ -544,7 +626,7 @@ def test_grid_consumers_contract_as_einsum_bit_for_bit(n, monkeypatch):
     per-node grids, for a constant and a per-node J (and R, I)."""
     rng = np.random.default_rng(19 + n)
     shape = (5, 6, 4)
-    P = taming.random_period_matrix(n, rng)        # R and I not diagonal at n = 2
+    P = selftest.random_period_matrix(n, rng)        # R and I not diagonal at n = 2
     J = taming.theta_forward(P)
     A = rng.standard_normal(shape + (2 * n, 3, 3))
     pair = reduction3d.BogomolnyPair(rng.standard_normal(shape + (2 * n,)),

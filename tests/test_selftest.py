@@ -3,6 +3,7 @@ import random
 import numpy as np
 
 from sympforge import cli, exactmat as xm, selftest, symplattice as sl
+from oracles import random_member_by_elements
 from strictjson import strict_loads
 
 # every suite and result name the selftest report carries, in report order
@@ -51,3 +52,15 @@ def test_generators_give_what_their_names_say():
         assert abs(xm.det(selftest.random_unimodular(rng, 2 * n, ops=8))) == 1
         t = selftest.random_chain(rng, n)
         assert sl.validate_type(t) == t
+
+
+def test_member_sampler_draws_the_word_of_group_elements():
+    """The integer sampler gives the element, and leaves the stream, as the word of checked
+    generators and inverses multiplied by the group law."""
+    for t in [(1,), (2,), (1, 2), (2, 4), (1, 2, 4), (3, 3), (1, 1, 1)]:
+        for length in (0, 2, 3, 4, 6):
+            for seed in range(200):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert selftest.random_member(t, rng, length) == random_member_by_elements(
+                    t, ref, length), (t, length, seed)
+                assert rng.random() == ref.random()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sympforge import exactmat as xm
-from sympforge import siegel
+from sympforge import selftest, siegel
 from oracles import aff_compose_fractions, aff_inverse_fractions
 
 
@@ -159,7 +159,7 @@ def test_aff_group_law_matches_fraction_oracle():
                 for _ in range(m)]
     for t in [(1,), (1, 2), (2, 4), (1, 2, 4)]:
         for _ in range(25):
-            (a1, r1), (a2, r2) = [(shift(2 * len(t)), siegel.random_member(t, rng, word_length=4))
+            (a1, r1), (a2, r2) = [(shift(2 * len(t)), selftest.random_member(t, rng, word_length=4))
                                   for _ in range(2)]
             h = siegel.aff_compose(siegel.AffElement.make(a1, r1), siegel.AffElement.make(a2, r2))
             assert (h.translation, h.rotation.rows()) == \
@@ -204,10 +204,10 @@ def test_aff_adjoint_homomorphism():
     for _ in range(20):
         g1 = siegel.AffElement.make(
             [Fraction(rng.randint(0, 7), 8) for _ in range(2)],
-            siegel.random_member(t, rng, word_length=4))
+            selftest.random_member(t, rng, word_length=4))
         g2 = siegel.AffElement.make(
             [Fraction(rng.randint(0, 7), 8) for _ in range(2)],
-            siegel.random_member(t, rng, word_length=4))
+            selftest.random_member(t, rng, word_length=4))
         lhs = siegel.aff_adjoint(siegel.aff_compose(g1, g2))
         rhs = xm.matmul(siegel.aff_adjoint(g1), siegel.aff_adjoint(g2))
         assert xm.mat_equal(lhs, rhs)
@@ -228,8 +228,8 @@ def test_membership_closed_under_product_and_inverse():
     rng = random.Random(5)
     for t in [(1,), (2,), (1, 2), (2, 4)]:
         for _ in range(10):
-            a = siegel.random_member(t, rng)
-            b = siegel.random_member(t, rng)
+            a = selftest.random_member(t, rng, word_length=6)
+            b = selftest.random_member(t, rng, word_length=6)
             assert siegel.is_member((a @ b).rows(), t)
             assert siegel.is_member(a.inverse().rows(), t)
 
@@ -239,7 +239,7 @@ def test_transport_monotonicity():
     pairs = [((1,), (2,)), ((1,), (3,)), ((2,), (4,)), ((1, 2), (2, 4))]
     for t, t2 in pairs:
         for _ in range(10):
-            a = siegel.random_member(t, rng, word_length=4)
+            a = selftest.random_member(t, rng, word_length=4)
             moved = siegel.transport(a.rows(), t, t2)
             if moved is not None:
                 assert siegel.is_member(moved, t2)
@@ -251,7 +251,7 @@ def test_aff_associativity_exact():
     for _ in range(20):
         gs = [siegel.AffElement.make(
                   [Fraction(rng.randint(0, 11), 12) for _ in range(2)],
-                  siegel.random_member(t, rng, word_length=3))
+                  selftest.random_member(t, rng, word_length=3))
               for _ in range(3)]
         g1, g2, g3 = gs
         assert siegel.aff_compose(siegel.aff_compose(g1, g2), g3) == \

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sympforge
-from sympforge import forms4d, taming
+from sympforge import forms4d, selftest, taming
 
 STD_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -27,7 +27,7 @@ def test_forward_electrodynamics_matches_closed_form():
 def test_forward_output_passes_invariants():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        N = taming.random_period_matrix(3, rng)
+        N = selftest.random_period_matrix(3, rng)
         ok, report = taming.is_taming(taming.theta_forward(N))
         assert ok, report
 
@@ -42,7 +42,7 @@ def test_roundtrip_random():
     rng = np.random.default_rng(1)
     for _ in range(30):
         n = int(rng.integers(1, 5))
-        N = taming.random_period_matrix(n, rng)
+        N = selftest.random_period_matrix(n, rng)
         N2 = taming.theta_inverse(taming.theta_forward(N))
         assert np.max(np.abs(N2.R - N.R)) < taming.ROUNDTRIP_TOL
         assert np.max(np.abs(N2.I - N.I)) < taming.ROUNDTRIP_TOL
@@ -91,7 +91,7 @@ def test_conjugate_by_stabilizer():
 def test_conjugate_preserves_taming():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        g = taming.random_symplectic(1, rng)
+        g = selftest.random_symplectic(1, rng)
         out = taming.taming_conjugate(STD_J, g)
         ok, report = taming.is_taming(out, tol=1e-8)
         assert ok, report
@@ -101,9 +101,9 @@ def test_conjugate_is_group_action():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = 2
-        J = taming.theta_forward(taming.random_period_matrix(n, rng))
-        g1 = taming.random_symplectic(n, rng)
-        g2 = taming.random_symplectic(n, rng)
+        J = taming.theta_forward(selftest.random_period_matrix(n, rng))
+        g1 = selftest.random_symplectic(n, rng)
+        g2 = selftest.random_symplectic(n, rng)
         lhs = taming.taming_conjugate(J, g1 @ g2)
         rhs = taming.taming_conjugate(taming.taming_conjugate(J, g2), g1)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(lhs)))
@@ -131,7 +131,7 @@ def test_random_symplectic_is_symplectic_and_advances_the_stream_as_before():
     """The Cayley draw reads one standard normal (2n, 2n) block, as expm's did."""
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
     for n in (1, 2, 3, 4):
-        g = taming.random_symplectic(n, rng)
+        g = selftest.random_symplectic(n, rng)
         twin.standard_normal((2 * n, 2 * n))
         W = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
         assert np.max(np.abs(g.T @ W @ g - W)) < 1e-14
